@@ -118,6 +118,9 @@ class TokenCursor {
   }
 
   bool AtEnd() const { return Peek().Is(TokenKind::kEof); }
+  // Index of the next token; unchanged across a parse step means the step
+  // consumed nothing.
+  size_t position() const { return pos_; }
   const std::string& file() const { return file_; }
   DiagnosticSink* diags() { return diags_; }
 

@@ -81,7 +81,9 @@ class SunRpcParser {
     }
     cursor_.Expect(TokenKind::kLBrace, "to open version body");
     while (!cursor_.AtEnd() && !cursor_.Peek().Is(TokenKind::kRBrace)) {
+      const size_t start = cursor_.position();
       ParseProcedure(&itf);
+      ResyncIfStuck(start, "version body");
     }
     cursor_.Expect(TokenKind::kRBrace, "to close version body");
     cursor_.Expect(TokenKind::kEquals, "before version number");
@@ -134,11 +136,13 @@ class SunRpcParser {
     }
     cursor_.Expect(TokenKind::kLBrace, "to open struct body");
     while (!cursor_.AtEnd() && !cursor_.Peek().Is(TokenKind::kRBrace)) {
+      const size_t start = cursor_.position();
       auto [field_type, field_name] = ParseDeclaration();
       cursor_.Expect(TokenKind::kSemicolon, "after struct field");
       if (s != nullptr && field_type != nullptr) {
         types().AddField(s, std::move(field_name), field_type);
       }
+      ResyncIfStuck(start, "struct body");
     }
     cursor_.Expect(TokenKind::kRBrace, "to close struct body");
     cursor_.Expect(TokenKind::kSemicolon, "after struct");
@@ -192,35 +196,61 @@ class SunRpcParser {
     }
     cursor_.Expect(TokenKind::kLBrace, "to open union body");
     while (!cursor_.AtEnd() && !cursor_.Peek().Is(TokenKind::kRBrace)) {
-      bool is_default = false;
-      uint32_t label = 0;
-      if (cursor_.TryConsumeIdent("default")) {
-        is_default = true;
-        cursor_.Expect(TokenKind::kColon, "after 'default'");
-      } else if (cursor_.TryConsumeIdent("case")) {
-        label = static_cast<uint32_t>(ParseConstExpr());
-        cursor_.Expect(TokenKind::kColon, "after case label");
-      } else {
-        cursor_.Error("expected 'case' or 'default' in union body");
-        cursor_.SkipPast(TokenKind::kSemicolon);
-        continue;
-      }
-      if (cursor_.TryConsumeIdent("void")) {
-        cursor_.Expect(TokenKind::kSemicolon, "after void arm");
-        if (u != nullptr) {
-          types().AddUnionArm(u, label, is_default, "", types().Void());
-        }
-        continue;
-      }
-      auto [arm_type, arm_name] = ParseDeclaration();
-      cursor_.Expect(TokenKind::kSemicolon, "after union arm");
-      if (u != nullptr && arm_type != nullptr) {
-        types().AddUnionArm(u, label, is_default, std::move(arm_name),
-                            arm_type);
-      }
+      const size_t start = cursor_.position();
+      ParseUnionArm(u);
+      ResyncIfStuck(start, "union body");
     }
     cursor_.Expect(TokenKind::kRBrace, "to close union body");
     cursor_.Expect(TokenKind::kSemicolon, "after union");
+  }
+
+  // One "case label: declaration;" or "default: ..." arm; a null `u` (a
+  // redefined union) parses the arm without recording it.
+  void ParseUnionArm(Type* u) {
+    bool is_default = false;
+    uint32_t label = 0;
+    if (cursor_.TryConsumeIdent("default")) {
+      is_default = true;
+      cursor_.Expect(TokenKind::kColon, "after 'default'");
+    } else if (cursor_.TryConsumeIdent("case")) {
+      label = static_cast<uint32_t>(ParseConstExpr());
+      cursor_.Expect(TokenKind::kColon, "after case label");
+    } else {
+      cursor_.Error("expected 'case' or 'default' in union body");
+      cursor_.SkipPast(TokenKind::kSemicolon);
+      return;
+    }
+    if (cursor_.TryConsumeIdent("void")) {
+      cursor_.Expect(TokenKind::kSemicolon, "after void arm");
+      if (u != nullptr) {
+        types().AddUnionArm(u, label, is_default, "", types().Void());
+      }
+      return;
+    }
+    auto [arm_type, arm_name] = ParseDeclaration();
+    cursor_.Expect(TokenKind::kSemicolon, "after union arm");
+    if (u != nullptr && arm_type != nullptr) {
+      types().AddUnionArm(u, label, is_default, std::move(arm_name),
+                          arm_type);
+    }
+  }
+
+  // Progress guard for the body loops. A loop iteration that consumed no
+  // token would see the same input again and spin forever, so report the
+  // token it stalled on and skip past the next ';' — or up to the '}' that
+  // closes the body, which ends the loop.
+  void ResyncIfStuck(size_t start, const char* body) {
+    if (cursor_.position() != start) {
+      return;
+    }
+    cursor_.Error(StrFormat(
+        "unexpected %s in %s",
+        std::string(TokenKindName(cursor_.Peek().kind)).c_str(), body));
+    while (!cursor_.AtEnd() && !cursor_.Peek().Is(TokenKind::kRBrace)) {
+      if (cursor_.Next().Is(TokenKind::kSemicolon)) {
+        return;
+      }
+    }
   }
 
   void ParseTypedef() {

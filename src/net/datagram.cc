@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/net/crc32c.h"
 #include "src/support/recorder.h"
 #include "src/support/trace.h"
 
@@ -49,12 +50,9 @@ RecEndpoint WireEndpoint(DatagramChannel::Dir dir) {
 }  // namespace
 
 uint32_t DatagramChecksum(ByteSpan payload) {
-  uint32_t h = 2166136261u;
-  for (uint8_t b : payload) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
+  static const bool hardware = crc32c_internal::Crc32cHardwareSupported();
+  return hardware ? crc32c_internal::Crc32cHardware(payload)
+                  : crc32c_internal::Crc32cPortable(payload);
 }
 
 DatagramChannel::DatagramChannel(LinkModel link, FaultPlan plan_a_to_b,

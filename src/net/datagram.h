@@ -2,14 +2,15 @@
 //
 // The channel moves whole datagrams between two endpoints (A = client,
 // B = server) through per-direction FIFO queues. Each send is framed with a
-// magic word, a per-direction sequence number, the payload length, and an
-// FNV-1a checksum over the payload; the FaultPlan for that direction then
+// magic word, a per-direction sequence number, the payload length, and a
+// CRC32C checksum over the payload; the FaultPlan for that direction then
 // decides whether the frame is dropped, duplicated, reordered ahead of the
-// queue, corrupted (one byte flipped — the checksum catches it at the
-// receiver, exactly like a UDP checksum discard), or held back by an extra
-// delivery delay. Wire occupancy is charged to the VirtualClock at send
-// time for every physical transmission (dropped and duplicated frames
-// occupied the wire too); extra delay is charged at delivery.
+// queue, corrupted (one byte flipped — CRC32C detects every burst error of
+// 32 bits or less, so the receiver always catches it, exactly like a UDP
+// checksum discard), or held back by an extra delivery delay. Wire
+// occupancy is charged to the VirtualClock at send time for every physical
+// transmission (dropped and duplicated frames occupied the wire too); extra
+// delay is charged at delivery.
 //
 // The channel is a single-threaded simulation artifact: Send/Receive run on
 // the caller's thread and "time" is the shared virtual clock, which is what
@@ -31,7 +32,11 @@
 
 namespace flexrpc {
 
-// FNV-1a over a byte span; the frame checksum.
+// The frame checksum: CRC32C (Castagnoli, as in iSCSI) over a byte span.
+// It detects every error burst of 32 bits or less, so any single flipped
+// byte is caught. Uses the SSE4.2 `crc32` instruction when the CPU has it
+// (checked once per process) and a table-driven loop otherwise; both give
+// the same value.
 uint32_t DatagramChecksum(ByteSpan payload);
 
 class DatagramChannel {

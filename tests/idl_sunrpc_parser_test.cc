@@ -215,5 +215,33 @@ TEST(SunRpcParserTest, MultipleVersions) {
   EXPECT_EQ(file->interfaces[1].program_number, 800u);
 }
 
+// A struct field the parser cannot consume used to stall the body loop:
+// every pass re-reported the same token and the diagnostics grew until the
+// process ran out of memory. The progress guard reports it once and
+// resynchronizes at the next ';'.
+TEST(SunRpcParserTest, StalledStructBodyReportsAndTerminates) {
+  DiagnosticSink diags;
+  auto file = ParseSunRpc("struct s {\n  int a b = 2;\n};\n", "hang.x",
+                          &diags);
+  EXPECT_EQ(file, nullptr);
+  EXPECT_NE(diags.ToString().find("unexpected '=' in struct body"),
+            std::string::npos)
+      << diags.ToString();
+  EXPECT_LT(diags.error_count(), 10) << diags.ToString();
+}
+
+TEST(SunRpcParserTest, ParsingResumesAfterStalledStructBody) {
+  DiagnosticSink diags;
+  auto file = ParseSunRpc(R"(
+    struct s { int a b = 2; };
+    struct t { missing m; };
+  )", "p.x", &diags);
+  EXPECT_EQ(file, nullptr);
+  // The definition after the stall is still parsed and checked.
+  EXPECT_NE(diags.ToString().find("unknown type 'missing'"),
+            std::string::npos)
+      << diags.ToString();
+}
+
 }  // namespace
 }  // namespace flexrpc

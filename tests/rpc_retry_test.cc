@@ -9,6 +9,8 @@
 
 #include <cstring>
 #include <map>
+#include <set>
+#include <vector>
 
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
@@ -148,17 +150,38 @@ TEST(DatagramChannelTest, ReorderOvertakesQueuedFrame) {
 }
 
 TEST(DatagramChannelTest, ChecksumCatchesCorruption) {
+  // An 8 KB payload sent as many frames, each with one byte flipped by the
+  // scripted schedule at a different position: every one must be caught.
+  constexpr uint64_t kFrames = 96;
+  constexpr size_t kPayloadSize = 8192;
+  std::vector<uint8_t> payload(kPayloadSize);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  FaultPlan plan;
+  plan.CorruptExactly(0, kFrames - 1);
+  // The flip positions are spread over the frame: a replica of the plan
+  // yields one distinct salt-derived position per frame (the channel flips
+  // byte 8 + salt % (frame size - 8), past the magic and sequence words).
+  FaultPlan replica;
+  replica.CorruptExactly(0, kFrames - 1);
+  std::set<uint64_t> positions;
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    positions.insert(replica.Next().corrupt_salt % (16 + kPayloadSize - 8));
+  }
+  EXPECT_EQ(positions.size(), kFrames);
+
   VirtualClock clock;
-  FaultConfig config;
-  config.corrupt_prob = 1.0;
-  DatagramChannel ch(LinkModel(), FaultPlan(config), FaultPlan(), &clock);
-  ch.Send(DatagramChannel::Dir::kAtoB, Span("fragile payload bytes"));
-  ASSERT_TRUE(ch.HasPending(DatagramChannel::Dir::kAtoB));
-  auto got = ch.Receive(DatagramChannel::Dir::kAtoB);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
-  EXPECT_EQ(ch.stats().corrupted, 1u);
-  EXPECT_EQ(ch.stats().checksum_failures, 1u);
+  DatagramChannel ch(LinkModel(), std::move(plan), FaultPlan(), &clock);
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    ch.Send(DatagramChannel::Dir::kAtoB, payload);
+    ASSERT_TRUE(ch.HasPending(DatagramChannel::Dir::kAtoB));
+    auto got = ch.Receive(DatagramChannel::Dir::kAtoB);
+    ASSERT_FALSE(got.ok()) << "corrupted frame " << i << " was delivered";
+    EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+  }
+  EXPECT_EQ(ch.stats().corrupted, kFrames);
+  EXPECT_EQ(ch.stats().checksum_failures, ch.stats().corrupted);
   EXPECT_EQ(ch.stats().delivered, 0u);
 }
 
