@@ -3,7 +3,8 @@
 // The paper's Figure 2 measures presentation cost over a perfect 10 Mbit/s
 // Ethernet. This bench reruns the same 8 KB-chunk NFS read through the
 // fault-injection substrate (src/net/fault.h, src/net/datagram.h) and the
-// at-most-once RetryingTransport, under fixed-seed fault scenarios:
+// at-most-once PipelinedTransport with a window of one — serial stop-and-
+// wait RPC on the call engine — under fixed-seed fault scenarios:
 // packet drops force retransmissions, dropped replies exercise the server
 // reply cache, duplicates and reorders exercise stale-reply discard, and
 // corruption exercises the frame checksum. Reported times are *virtual*
@@ -18,20 +19,22 @@
 #include "src/apps/nfs.h"
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
-#include "src/rpc/retry.h"
+#include "src/rpc/pipeline.h"
+#include "src/support/event_queue.h"
 #include "src/support/recorder.h"
 
 namespace {
 
 using flexrpc::DatagramChannel;
+using flexrpc::EventQueue;
 using flexrpc::FaultConfig;
 using flexrpc::FaultPlan;
 using flexrpc::LinkModel;
 using flexrpc::NfsClient;
 using flexrpc::NfsFileServer;
+using flexrpc::PipelinedTransport;
+using flexrpc::PipelinePolicy;
 using flexrpc::RemoteServerModel;
-using flexrpc::RetryingTransport;
-using flexrpc::RetryPolicy;
 using flexrpc::VirtualClock;
 
 constexpr size_t kFileSize = 2u << 20;  // 256 chunks at full fidelity
@@ -80,11 +83,16 @@ ScenarioResult RunScenario(const FaultConfig& base, size_t file_size) {
   b2a.seed = base.seed * 2 + 2;
   DatagramChannel channel(LinkModel(), FaultPlan{a2b}, FaultPlan{b2a},
                           &clock);
-  RetryingTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                              RemoteServerModel(), RetryPolicy{});
-  auto stats =
-      client.ReadFileLossy(NfsClient::StubKind::kGeneratedUserBuffer,
-                           &transport);
+  EventQueue events(&clock);
+  PipelinePolicy policy;
+  policy.window = 1;
+  // Every chunk is submitted up front and its deadline armed then, so the
+  // deadline must cover the whole read, not one call.
+  policy.retry.deadline_nanos = 60'000'000'000;
+  PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
+                               RemoteServerModel(), policy, &events);
+  auto stats = client.ReadFilePipelined(
+      NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   if (!stats.ok()) {
     std::fprintf(stderr, "lossy NFS read failed: %s\n",
                  stats.status().ToString().c_str());

@@ -414,77 +414,6 @@ Result<NfsClient::ReadStats> NfsClient::ReadFile(StubKind kind,
   return stats;
 }
 
-Result<NfsClient::ReadStats> NfsClient::ReadFileLossy(
-    StubKind kind, RetryingTransport* rpc) {
-  ReadStats stats;
-  const uint64_t clock_start = rpc->clock()->now_nanos();
-  const RetryingTransport::Stats rpc_start = rpc->stats();
-  size_t file_size = server_->file_size();
-  auto* user_buffer =
-      static_cast<uint8_t*>(user_space_->Allocate(file_size));
-  uint8_t fh[kNfsFhSize];
-  std::memset(fh, 0xFD, sizeof(fh));
-
-  double client_seconds = 0;
-  for (size_t offset = 0; offset < file_size; offset += kNfsMaxData) {
-    uint32_t count = static_cast<uint32_t>(
-        file_size - offset < kNfsMaxData ? file_size - offset
-                                         : kNfsMaxData);
-    ChunkArgs chunk{fh, static_cast<uint32_t>(offset), count,
-                    user_buffer + offset};
-    uint32_t xid = next_xid_++;
-    // Attribute this chunk's marshal work to its xid: the encode records
-    // at submission time, the decode after the transport advanced the
-    // clock to the reply's arrival.
-    RecorderCallScope rec_scope(xid, rpc->clock());
-
-    // --- client-side marshal (measured) ---
-    XdrWriter request;
-    Stopwatch encode_timer;
-    EncodeSunRpcCall(&request,
-                     SunRpcCall{xid, kNfsProgram, kNfsVersion,
-                                kNfsProcRead});
-    FLEXRPC_ASSIGN_OR_RETURN(uint32_t unused,
-                             EncodeRequest(kind, chunk, &request));
-    (void)unused;
-    client_seconds += encode_timer.ElapsedSeconds();
-
-    // --- the lossy wire: retransmits, backoff, dedup (modeled time) ---
-    std::vector<uint8_t> reply;
-    FLEXRPC_RETURN_IF_ERROR(rpc->Call(xid, request.span(), &reply));
-
-    // --- client-side unmarshal + delivery (measured) ---
-    Stopwatch decode_timer;
-    XdrReader reader(ByteSpan(reply.data(), reply.size()));
-    FLEXRPC_RETURN_IF_ERROR(DecodeSunRpcReplySuccess(&reader, xid));
-    FLEXRPC_ASSIGN_OR_RETURN(uint32_t delivered,
-                             DecodeReply(kind, chunk, &reader));
-    client_seconds += decode_timer.ElapsedSeconds();
-
-    if (delivered != count) {
-      return DataLossError(
-          StrFormat("short read: wanted %u, got %u", count, delivered));
-    }
-    stats.bytes_read += delivered;
-    ++stats.rpc_calls;
-  }
-
-  // Verification (not timed): faults must never corrupt delivered data.
-  if (std::memcmp(user_buffer, server_->content(), file_size) != 0) {
-    return DataLossError("file contents corrupted in transit");
-  }
-  user_space_->Free(user_buffer);
-  stats.client_seconds = client_seconds;
-  stats.network_server_seconds = static_cast<double>(
-      rpc->clock()->now_nanos() - clock_start) * 1e-9;
-  const RetryingTransport::Stats& rpc_end = rpc->stats();
-  stats.retransmits = rpc_end.retransmits - rpc_start.retransmits;
-  stats.dup_cache_hits = rpc_end.dup_cache_hits - rpc_start.dup_cache_hits;
-  stats.server_executions =
-      rpc_end.dup_cache_misses - rpc_start.dup_cache_misses;
-  return stats;
-}
-
 Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
     StubKind kind, PipelinedTransport* rpc, size_t chunk_bytes) {
   ReadStats stats;

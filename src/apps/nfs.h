@@ -24,7 +24,6 @@
 #include "src/pdl/apply.h"
 #include "src/rpc/binder.h"
 #include "src/rpc/pipeline.h"
-#include "src/rpc/retry.h"
 #include "src/support/timing.h"
 
 namespace flexrpc {
@@ -55,7 +54,7 @@ class NfsFileServer {
   size_t file_size() const { return content_.size(); }
   const uint8_t* content() const { return content_.data(); }
 
-  // Adapts Handle to the RetryingTransport's datagram interface. The
+  // Adapts Handle to the transports' datagram handler interface. The
   // returned handler counts nothing itself — wrap it when a test needs
   // per-xid execution counts.
   static DatagramHandler MakeHandler(NfsFileServer* server);
@@ -95,24 +94,20 @@ class NfsClient {
   Result<ReadStats> ReadFile(StubKind kind,
                              size_t chunk_bytes = kNfsMaxData);
 
-  // Same read, but every RPC travels as a SunRPC datagram through `rpc`'s
-  // lossy DatagramChannel with at-most-once retry semantics. The transport
-  // must be wired to this client's server (NfsFileServer::MakeHandler or a
+  // The same read, but every RPC travels as a SunRPC datagram through
+  // `rpc`'s lossy DatagramChannel with at-most-once retry semantics. The
+  // transport must be wired to this client's server (MakeHandler or a
   // counting wrapper around it); its virtual clock replaces the
-  // network+server model of the perfect-wire path. Degrades to
-  // kUnavailable / kDeadlineExceeded / kDataLoss exactly as
-  // RetryingTransport::Call does — never a hang, never a double read.
-  Result<ReadStats> ReadFileLossy(StubKind kind, RetryingTransport* rpc);
-
-  // The same read again, but with all chunks submitted up front to a
-  // sliding-window PipelinedTransport: up to `window` READs are in flight
-  // concurrently, replies may land out of order, and each one is decoded
-  // into its own disjoint region of the user buffer as it arrives. The
-  // delivered bytes are verified identical to the serial paths.
-  // `chunk_bytes` (clamped to kNfsMaxData) sets the per-call payload —
-  // small chunks make the workload latency-bound, where the window helps
-  // most; the default reproduces the serial call mix. Same degradation
-  // contract as ReadFileLossy.
+  // network+server model of the perfect-wire path. All chunks are
+  // submitted up front: up to `window` READs are in flight concurrently
+  // (a window of one is serial stop-and-wait), replies may land out of
+  // order, and each one is decoded into its own disjoint region of the
+  // user buffer as it arrives. Every deadline is armed at submission, so
+  // time a chunk waits for a window slot counts against it. `chunk_bytes`
+  // (clamped to kNfsMaxData) sets the per-call payload — small chunks
+  // make the workload latency-bound, where the window helps most. Degrades
+  // to kUnavailable / kDeadlineExceeded / kDataLoss — never a hang, never
+  // a double read.
   Result<ReadStats> ReadFilePipelined(StubKind kind, PipelinedTransport* rpc,
                                       size_t chunk_bytes = kNfsMaxData);
 

@@ -90,9 +90,12 @@ class DatagramChannel {
   // connection id ([xid][conn][body] — the mux wire format). When on,
   // Receive tags its wire-delivery record events with that connection so
   // flexrec can attribute them to the (conn, xid) call; send-side events
-  // inherit the caller's RecorderConnScope instead. Off by default — the
-  // single-connection transports put arbitrary body bytes there.
+  // inherit the caller's RecorderConnScope instead. The call engine's
+  // reply demux and ServerDispatch read the same bit to pick the framing.
+  // Off by default — an untagged channel carries plain SunRPC datagrams,
+  // whose second word is the message type.
   void set_conn_tagging(bool on) { conn_tagging_ = on; }
+  bool conn_tagging() const { return conn_tagging_; }
 
   // Delivery timestamp of the frame at the head of `dir`'s queue (which
   // may still be in flight); nullopt when the queue is empty. Only

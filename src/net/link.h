@@ -82,6 +82,8 @@ class RemoteServerModel {
         1e9);
   }
 
+  const Config& config() const { return config_; }
+
  private:
   Config config_;
 };

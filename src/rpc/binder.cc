@@ -34,12 +34,6 @@ void BinderTransport::ReplicaObserver::OnReplyMatched(uint32_t /*xid*/) {
   binder->OnReplicaSuccess(replica);
 }
 
-void BinderTransport::ReplicaObserver::OnCorruptReply() {
-  // A corrupt reply proves the replica is alive (it sent *something*), so
-  // it is neither failure nor success evidence for the health machine;
-  // the transport's own RTO/AIMD handling covers the damage.
-}
-
 BinderTransport::BinderTransport(ReplicaGroup* group, BinderPolicy policy)
     : group_(group), policy_(std::move(policy)), events_(group->events()) {
   size_t n = group_->size();

@@ -156,7 +156,6 @@ class BinderTransport {
     size_t replica = 0;
     void OnRtoFired(uint32_t xid, uint32_t attempts) override;
     void OnReplyMatched(uint32_t xid) override;
-    void OnCorruptReply() override;
   };
 
   struct BoundCall {

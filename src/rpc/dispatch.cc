@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/rpc/mux.h"
-
 #include "src/support/recorder.h"
 #include "src/support/timeline.h"
 #include "src/support/trace.h"
@@ -21,46 +19,17 @@ ServerDispatch::ServerDispatch(DatagramChannel* channel,
                                DispatchPolicy policy, EventQueue* events)
     : channel_(channel),
       endpoint_(std::move(handler), policy.cache_capacity),
-      policy_(policy), service_(policy.service), events_(events) {
+      policy_(policy), service_(policy.service), events_(events),
+      accept_poll_(channel, kAtoB, events, &stats_.events,
+                   [this]() { PumpRequests(); }) {
   if (policy_.workers == 0) {
     policy_.workers = 1;
   }
   worker_free_.assign(policy_.workers, 0);
   channel_->set_scheduled_delivery(true);
-  channel_->set_conn_tagging(true);
 }
 
-EventQueue::EventId ServerDispatch::Schedule(uint64_t at_nanos,
-                                             std::function<void()> fn) {
-  uint32_t conn_tag = RecorderConnScope::Current();
-  return events_->ScheduleAt(at_nanos, [this, conn_tag,
-                                        fn = std::move(fn)]() {
-    RecorderConnScope conn_scope(conn_tag);
-    ++stats_.events;
-    fn();
-  });
-}
-
-void ServerDispatch::Poke() { ArmAcceptPoll(); }
-
-void ServerDispatch::ArmAcceptPoll() {
-  auto next = channel_->NextDeliveryNanos(kAtoB);
-  if (!next) {
-    return;
-  }
-  if (accept_poll_armed_ && accept_poll_at_ <= *next) {
-    return;  // an earlier (or equal) wakeup already covers this frame
-  }
-  if (accept_poll_armed_) {
-    events_->Cancel(accept_poll_event_);
-  }
-  accept_poll_armed_ = true;
-  accept_poll_at_ = *next;
-  accept_poll_event_ = Schedule(*next, [this]() {
-    accept_poll_armed_ = false;
-    PumpRequests();
-  });
-}
+void ServerDispatch::Poke() { accept_poll_.Arm(); }
 
 uint64_t ServerDispatch::QueueDepth(uint64_t now) {
   while (!queued_starts_.empty() && queued_starts_.front() <= now) {
@@ -81,10 +50,13 @@ void ServerDispatch::PumpRequests() {
     if (!xid.ok()) {
       continue;  // too short to be a call; nothing to reply to
     }
-    // Single-connection callers (no mux framing) land on connection 0.
+    // The channel's framing decides the connection: tagged frames carry
+    // it in their second word; an untagged channel is connection 0.
     uint32_t conn = 0;
-    if (auto c = PeekMuxConn(request_span); c.ok()) {
-      conn = *c;
+    if (channel_->conn_tagging()) {
+      if (auto c = PeekMuxConn(request_span); c.ok()) {
+        conn = *c;
+      }
     }
     RecorderConnScope conn_scope(conn);
     uint64_t now = events_->clock()->now_nanos();
@@ -155,14 +127,16 @@ void ServerDispatch::PumpRequests() {
                 start, /*a=*/handled->reply->size(), /*b=*/w + 1);
     RecordEvent(RecEvent::kServerExecEnd, RecEndpoint::kServer, *xid,
                 finish, /*a=*/handled->reply->size(), /*b=*/w + 1);
-    Schedule(finish, [this, reply = *handled->reply]() {
-      channel_->Send(kBtoA, ByteSpan(reply.data(), reply.size()));
-      if (reply_listener_) {
-        reply_listener_();
-      }
-    });
+    ScheduleInScope(events_, finish, &stats_.events,
+                    [this, reply = *handled->reply]() {
+                      channel_->Send(kBtoA,
+                                     ByteSpan(reply.data(), reply.size()));
+                      if (reply_listener_) {
+                        reply_listener_();
+                      }
+                    });
   }
-  ArmAcceptPoll();  // more requests may still be in flight
+  accept_poll_.Arm();  // more requests may still be in flight
 }
 
 }  // namespace flexrpc

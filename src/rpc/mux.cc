@@ -23,24 +23,68 @@ Result<uint32_t> PeekMuxConn(ByteSpan datagram) {
   return r.ReadU32Be();
 }
 
+EventQueue::EventId ScheduleInScope(EventQueue* events, uint64_t at_nanos,
+                                    uint64_t* dispatches,
+                                    std::function<void()> fn) {
+  // Timer events fire with no ambient identity; capture the scopes active
+  // at scheduling time and reopen them inside the event, so retransmits
+  // and reply sends downstream of timers record under the right
+  // connection and replica.
+  uint32_t conn_tag = RecorderConnScope::Current();
+  uint32_t replica_tag = RecorderReplicaScope::Current();
+  return events->ScheduleAt(at_nanos, [dispatches, conn_tag, replica_tag,
+                                       fn = std::move(fn)]() {
+    RecorderReplicaScope replica_scope(replica_tag);
+    RecorderConnScope conn_scope(conn_tag);
+    ++*dispatches;
+    fn();
+  });
+}
+
+void DeliveryPoll::Arm() {
+  auto next = channel_->NextDeliveryNanos(dir_);
+  if (!next) {
+    return;
+  }
+  if (armed_ && at_ <= *next) {
+    return;  // an earlier (or equal) wakeup already covers this frame
+  }
+  if (armed_) {
+    events_->Cancel(event_);
+  }
+  armed_ = true;
+  at_ = *next;
+  event_ = ScheduleInScope(events_, *next, dispatches_, [this]() {
+    armed_ = false;
+    on_arrival_();
+  });
+}
+
 ConnectionMux::ConnectionMux(DatagramChannel* channel, MuxPolicy policy,
                              EventQueue* events)
     : channel_(channel), policy_(policy), events_(events),
-      jitter_(policy.retry.jitter_seed) {
+      jitter_(policy.retry.jitter_seed),
+      reply_poll_(channel, kBtoA, events, &stats_.events,
+                  [this]() { DrainReplies(); }) {
   if (policy_.per_conn_window == 0) {
     policy_.per_conn_window = 1;
   }
   channel_->set_scheduled_delivery(true);
-  channel_->set_conn_tagging(true);
 }
 
 uint32_t ConnectionMux::OpenConnection() {
+  channel_->set_conn_tagging(true);
   uint32_t conn = next_conn_++;
   conns_.emplace(conn, Conn(policy_.retry.adaptive.rtt,
                             policy_.retry.adaptive.window));
   ++stats_.conns_opened;
   TraceAdd(TraceCounter::kRpcMuxConnsOpened);
   return conn;
+}
+
+void ConnectionMux::OpenUntaggedConnection() {
+  conns_.emplace(kUntaggedConn, Conn(policy_.retry.adaptive.rtt,
+                                     policy_.retry.adaptive.window));
 }
 
 uint64_t ConnectionMux::total_window() const {
@@ -56,41 +100,43 @@ const RttEstimator* ConnectionMux::conn_rtt(uint32_t conn) const {
   return it == conns_.end() ? nullptr : &it->second.rtt;
 }
 
-EventQueue::EventId ConnectionMux::Schedule(uint64_t at_nanos,
-                                            std::function<void()> fn) {
-  // Timer events fire with no ambient identity; capture the connection
-  // scope active at scheduling time and reopen it inside the event, so
-  // retransmits and reply sends downstream of timers record under the
-  // right connection.
-  uint32_t conn_tag = RecorderConnScope::Current();
-  return events_->ScheduleAt(at_nanos, [this, conn_tag,
-                                        fn = std::move(fn)]() {
-    RecorderConnScope conn_scope(conn_tag);
-    ++stats_.events;
-    fn();
-  });
+const AimdController* ConnectionMux::conn_cwnd(uint32_t conn) const {
+  auto it = conns_.find(conn);
+  return it == conns_.end() ? nullptr : &it->second.cwnd;
 }
 
-void ConnectionMux::Submit(uint32_t conn_id, ByteSpan body, Completion done) {
+uint32_t ConnectionMux::conn_window(uint32_t conn) const {
+  auto it = conns_.find(conn);
+  return it == conns_.end() ? 0 : WindowFor(it->second);
+}
+
+uint32_t ConnectionMux::Submit(uint32_t conn_id, ByteSpan body,
+                               Completion done) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) {
     done(InvalidArgumentError(
              StrFormat("submit on unopened connection %u", conn_id)),
          {});
-    return;
+    return 0;
   }
-  Conn& c = it->second;
-  RecorderConnScope conn_scope(conn_id);
-  ++stats_.calls;
-  TraceAdd(TraceCounter::kRpcMuxCalls);
-  uint32_t xid = c.next_xid++;
+  uint32_t xid = it->second.next_xid++;
   ByteWriter w;
   w.WriteU32Be(xid);
   w.WriteU32Be(conn_id);
   w.WriteSpan(body);
+  Enqueue(conn_id, xid, w.TakeBuffer(), std::move(done));
+  return xid;
+}
+
+void ConnectionMux::Enqueue(uint32_t conn_id, uint32_t xid,
+                            std::vector<uint8_t> request, Completion done) {
+  Conn& c = conns_.at(conn_id);
+  RecorderConnScope conn_scope(conn_id);
+  ++stats_.calls;
+  TraceAdd(TraceCounter::kRpcMuxCalls);
   PendingCall pending;
   pending.call.xid = xid;
-  pending.call.request = w.TakeBuffer();
+  pending.call.request = std::move(request);
   // The deadline starts at submission: time queued behind this
   // connection's window counts against it, like a kernel send queue.
   pending.call.Arm(policy_.retry, events_->clock()->now_nanos());
@@ -172,6 +218,9 @@ void ConnectionMux::OnRto(uint64_t key) {
   uint64_t now = events_->clock()->now_nanos();
   RecordEvent(RecEvent::kRtoFire, RecEndpoint::kClient, f.call.xid, now,
               /*a=*/f.call.attempts);
+  if (observer_ != nullptr) {
+    observer_->OnRtoFired(f.call.xid, f.call.attempts);
+  }
   auto conn_it = conns_.find(f.conn);
   if (policy_.retry.adaptive.enabled && conn_it != conns_.end() &&
       !f.call.DeadlinePassed(now)) {
@@ -204,40 +253,34 @@ void ConnectionMux::OnRto(uint64_t key) {
   TransmitCall(f);
 }
 
-void ConnectionMux::Poke() { ArmClientPoll(); }
-
-void ConnectionMux::ArmClientPoll() {
-  auto next = channel_->NextDeliveryNanos(kBtoA);
-  if (!next) {
-    return;
-  }
-  if (client_poll_armed_ && client_poll_at_ <= *next) {
-    return;  // an earlier (or equal) wakeup already covers this frame
-  }
-  if (client_poll_armed_) {
-    events_->Cancel(client_poll_event_);
-  }
-  client_poll_armed_ = true;
-  client_poll_at_ = *next;
-  client_poll_event_ = Schedule(*next, [this]() {
-    client_poll_armed_ = false;
-    DrainReplies();
-  });
-}
+void ConnectionMux::Poke() { reply_poll_.Arm(); }
 
 void ConnectionMux::DrainReplies() {
   while (channel_->HasPending(kBtoA)) {
     auto datagram = channel_->Receive(kBtoA);
     if (!datagram.ok()) {
-      // A corrupt reply has no attributable identity; treat it as a drop
-      // and let that call's RTO fire.
+      // A corrupt reply carries no readable identity; the owning call's
+      // RTO covers it. With one connection it is still attributable, so
+      // it is a loss signal for that connection's window.
       ++stats_.corrupt_replies;
       TraceAdd(TraceCounter::kRpcCorruptReplies);
+      if (policy_.retry.adaptive.enabled && conns_.size() == 1) {
+        Conn& c = conns_.begin()->second;
+        uint64_t now = events_->clock()->now_nanos();
+        if (c.cwnd.OnLoss(now, c.rtt.rto_nanos())) {
+          ++stats_.cwnd_decreases;
+          RecordEvent(RecEvent::kCwndChange, RecEndpoint::kClient,
+                      /*xid=*/0, now, /*a=*/c.cwnd.window(), /*b=*/1);
+        }
+      }
       continue;
     }
     ByteSpan reply_span(datagram->data(), datagram->size());
     auto xid = PeekXid(reply_span);
-    auto conn = PeekMuxConn(reply_span);
+    Result<uint32_t> conn = kUntaggedConn;
+    if (channel_->conn_tagging()) {
+      conn = PeekMuxConn(reply_span);
+    }
     if (!xid.ok() || !conn.ok()) {
       ++stats_.stale_replies;  // too short to carry (conn, xid)
       TraceAdd(TraceCounter::kRpcMuxStaleReplies);
@@ -291,9 +334,12 @@ void ConnectionMux::DrainReplies() {
     }
     RecordEvent(RecEvent::kReplyMatch, RecEndpoint::kClient, *xid, now,
                 /*a=*/datagram->size());
+    if (observer_ != nullptr) {
+      observer_->OnReplyMatched(*xid);
+    }
     Complete(key, Status::Ok(), std::move(*datagram));
   }
-  ArmClientPoll();  // more replies may still be in flight
+  reply_poll_.Arm();  // more replies may still be in flight
 }
 
 void ConnectionMux::Complete(uint64_t key, Status status,
@@ -326,13 +372,37 @@ void ConnectionMux::Complete(uint64_t key, Status status,
   uint32_t conn_id = f.conn;
   Completion done = std::move(f.done);
   in_flight_.erase(it);
-  auto conn_it = conns_.find(conn_id);
-  if (conn_it != conns_.end() && conn_it->second.in_flight > 0) {
-    --conn_it->second.in_flight;
-  }
+  --conns_.at(conn_id).in_flight;
   --outstanding_;
   StartNext(conn_id);  // the freed window slot admits the next queued call
   done(std::move(status), std::move(reply));
+}
+
+bool ConnectionMux::Cancel(uint32_t conn_id, uint32_t xid) {
+  auto conn_it = conns_.find(conn_id);
+  if (conn_it == conns_.end()) {
+    return false;
+  }
+  Conn& c = conn_it->second;
+  auto it = in_flight_.find(Key(conn_id, xid));
+  if (it != in_flight_.end()) {
+    if (it->second.rto_event != EventQueue::kInvalidEvent) {
+      events_->Cancel(it->second.rto_event);
+    }
+    in_flight_.erase(it);
+    --c.in_flight;
+    --outstanding_;
+    StartNext(conn_id);  // the freed slot admits the next queued call
+    return true;
+  }
+  for (auto p = c.pending.begin(); p != c.pending.end(); ++p) {
+    if (p->call.xid == xid) {
+      c.pending.erase(p);
+      --outstanding_;
+      return true;
+    }
+  }
+  return false;
 }
 
 Status ConnectionMux::Drive() {

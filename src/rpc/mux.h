@@ -1,38 +1,42 @@
-// ConnectionMux — many client connections multiplexed over one channel.
+// ConnectionMux — the client call engine: every at-most-once call, serial,
+// pipelined, or multiplexed, runs on it.
 //
-// Every transport below this layer carries one client's calls. The fleet
-// simulation needs thousands: this mux runs N logical connections over a
-// single DatagramChannel (the server's NIC), giving each connection its
-// own xid namespace, its own flow-control window, and its own stream of
-// interleaved calls. The demux key — on the wire and in every table — is
-// the (connection-id, xid) pair; a bare xid means nothing fleet-wide.
+// The engine runs logical connections over a single DatagramChannel, each
+// with its own xid namespace, its own flow-control window, and its own
+// stream of interleaved calls. The demux key — on the wire and in every
+// table — is the (connection-id, xid) pair.
 //
-// Wire format: the mux frames every datagram as
+// Framing is one per-channel decision, read from the channel's conn-
+// tagging bit by both the engine's reply demux and ServerDispatch:
 //
-//   [xid u32 BE][conn u32 BE][body...]
+//   tagged    OpenConnection() turns tagging on. The engine allocates
+//             each connection's xids and frames every datagram as
+//               [xid u32 BE][conn u32 BE][body...]
+//             The xid stays the FIRST word — the SunRPC layout every layer
+//             below assumes — and the connection id rides in the second.
+//             Replies come back with the same prefix; completions hand the
+//             caller the full datagram (prefix included).
+//   untagged  PipelinedTransport's single connection (id 0): the caller's
+//             own SunRPC datagram carrying the caller's xid, unchanged on
+//             the wire. Tagging is never turned on.
 //
-// The xid stays the FIRST word — the SunRPC layout every layer below
-// assumes, and what lets DatagramChannel attribute wire events without
-// parsing — and the connection id rides in the second word. Replies come
-// back with the same two-word prefix; completions hand the caller the
-// full datagram (prefix included), like the other transports do.
-//
-// Client machinery is PipelinedTransport's, per connection: each call is
-// a ClientCallState with an attempt budget, a per-call RTO timer with
-// exponential backoff and deterministic jitter, and an absolute deadline;
-// replies are drained from coalesced poll events armed on the channel's
-// NextDeliveryNanos. Per-connection flow control mirrors the pipelined
-// window: at most per_conn_window calls of one connection are in flight,
-// the rest queue (counted as flow stalls, attributed as queued time).
+// Per call the engine keeps a ClientCallState: an attempt budget, a per-
+// call RTO timer with exponential backoff and deterministic jitter, and an
+// absolute deadline armed at submission (time queued behind a full window
+// counts against it). Replies are drained from coalesced poll events armed
+// on the channel's NextDeliveryNanos. At most per_conn_window calls of one
+// connection are in flight; the rest queue (counted as flow stalls).
+// Serial RPC is a window of one.
 //
 // When policy.retry.adaptive.enabled, every connection carries its own
-// RttEstimator + AimdController (the ROADMAP item 1/2 follow-on): the
-// estimator RTO replaces the fixed doubling schedule and the AIMD window
-// replaces per_conn_window, keyed per connection so one slow connection's
-// samples can never inflate another's RTO. Corrupt replies carry no
-// (conn, xid) identity, so — unlike the single-connection pipelined
-// transport — they feed no per-connection loss signal; the owning call's
-// RTO covers them.
+// RttEstimator + AimdController: the estimator RTO replaces the fixed
+// doubling schedule and the AIMD window replaces per_conn_window, keyed
+// per connection so one slow connection's samples can never inflate
+// another's RTO. A corrupt reply is a loss signal only when it is
+// attributable — the engine has exactly one connection — and then feeds
+// that connection's AIMD OnLoss like an RTO fire does (the RTT estimator is
+// not backed off: the frame arrived, so the path's timing is not in
+// question). With several connections the owning call's RTO covers it.
 //
 // The server side is ServerDispatch (src/rpc/dispatch.h); the two halves
 // share the channel and the EventQueue and wake each other through
@@ -56,6 +60,54 @@
 
 namespace flexrpc {
 
+// Health-evidence taps for a control plane above the engine. The binder
+// (src/rpc/binder.h) listens to per-replica transports through this
+// interface: RTO fires are failure evidence, matched replies are success
+// evidence. Callbacks run synchronously inside the engine's event
+// handling — implementations must not call back into the engine from them
+// (defer via the shared EventQueue; Submit/Cancel on a *different* engine
+// is fine).
+class PipelineObserver {
+ public:
+  virtual ~PipelineObserver() = default;
+  virtual void OnRtoFired(uint32_t xid, uint32_t attempts) = 0;
+  virtual void OnReplyMatched(uint32_t xid) = 0;
+};
+
+// Schedules `fn` at `at_nanos` on `events`. The event reopens the recorder
+// connection and replica scopes active at scheduling time, so record
+// points downstream of timers inherit the right tags, and bumps
+// `*dispatches` when it runs.
+EventQueue::EventId ScheduleInScope(EventQueue* events, uint64_t at_nanos,
+                                    uint64_t* dispatches,
+                                    std::function<void()> fn);
+
+// A coalesced wakeup for frames arriving in one channel direction: at most
+// one poll event is scheduled, at the earliest pending delivery time, and
+// it runs `on_arrival`.
+class DeliveryPoll {
+ public:
+  DeliveryPoll(DatagramChannel* channel, DatagramChannel::Dir dir,
+               EventQueue* events, uint64_t* dispatches,
+               std::function<void()> on_arrival)
+      : channel_(channel), dir_(dir), events_(events),
+        dispatches_(dispatches), on_arrival_(std::move(on_arrival)) {}
+
+  // Schedules the poll at the head frame's delivery time unless an
+  // earlier (or equal) poll already covers it.
+  void Arm();
+
+ private:
+  DatagramChannel* channel_;
+  DatagramChannel::Dir dir_;
+  EventQueue* events_;
+  uint64_t* dispatches_;
+  std::function<void()> on_arrival_;
+  bool armed_ = false;
+  uint64_t at_ = 0;
+  EventQueue::EventId event_ = EventQueue::kInvalidEvent;
+};
+
 struct MuxPolicy {
   RetryPolicy retry;
   // Per-connection flow-control window: calls of one connection in flight
@@ -66,6 +118,9 @@ struct MuxPolicy {
 
 class ConnectionMux {
  public:
+  // Invoked exactly once per submitted call (unless it is cancelled): with
+  // the full reply datagram on OK, or a terminal kUnavailable /
+  // kDeadlineExceeded status and an empty vector.
   using Completion = std::function<void(Status, std::vector<uint8_t>)>;
 
   struct Stats {
@@ -88,29 +143,40 @@ class ConnectionMux {
   };
 
   // `channel` and `events` must outlive the mux (and share the clock).
-  // Puts the channel into scheduled-delivery, conn-tagged mode.
+  // Puts the channel into scheduled-delivery mode.
   ConnectionMux(DatagramChannel* channel, MuxPolicy policy,
                 EventQueue* events);
 
-  // Opens a new connection and returns its id (1-based; ids never reuse).
+  // Opens a new tagged connection and returns its id (1-based; ids never
+  // reuse). Turns the channel's conn tagging on.
   uint32_t OpenConnection();
 
   // Submits one call on `conn` (which must be open). The mux allocates
-  // the per-connection xid and frames [xid][conn][body]. `done` fires
-  // exactly once — with the full reply datagram on OK, or a terminal
-  // kUnavailable / kDeadlineExceeded status.
-  void Submit(uint32_t conn, ByteSpan body, Completion done);
+  // the per-connection xid, frames [xid][conn][body], and returns the
+  // xid (0 when `conn` is not open; `done` then fires at once with
+  // kInvalidArgument).
+  uint32_t Submit(uint32_t conn, ByteSpan body, Completion done);
+
+  // Withdraws a submitted call without completing it: the RTO timer is
+  // cancelled, the window slot freed (admitting the connection's next
+  // queued call), and the completion never invoked. A reply already in
+  // flight for it arrives as a stale reply. Returns false when the call
+  // is neither queued nor in flight.
+  bool Cancel(uint32_t conn, uint32_t xid);
 
   // Arms the reply poll — the server side calls this (via its
   // reply_listener hook) after sending so the mux wakes when the frame
   // lands.
   void Poke();
 
-  // Invoked after every request transmission; the fleet wires it to
+  // Invoked after every request transmission; wire it to
   // ServerDispatch::Poke so the server polls the arrival.
   void set_request_listener(std::function<void()> fn) {
     request_listener_ = std::move(fn);
   }
+
+  // Health-evidence tap (see PipelineObserver). Null disables the tap.
+  void set_observer(PipelineObserver* observer) { observer_ = observer; }
 
   // Runs the event queue until every submitted call completed. Errors if
   // the simulation stalls with calls outstanding.
@@ -127,12 +193,16 @@ class ConnectionMux {
   // the fixed per_conn_window otherwise) — the flexwatch cwnd gauge.
   uint64_t total_window() const;
 
-  // The per-connection estimator, or nullptr for an unknown connection.
-  // Meaningful when policy.retry.adaptive.enabled; tests assert one
-  // connection's RTO is untouched by another's slow replies.
+  // Per-connection adaptive state and effective window; nullptr (or 0)
+  // for an unknown connection. The estimator and controller are
+  // meaningful when policy.retry.adaptive.enabled.
   const RttEstimator* conn_rtt(uint32_t conn) const;
+  const AimdController* conn_cwnd(uint32_t conn) const;
+  uint32_t conn_window(uint32_t conn) const;
 
  private:
+  friend class PipelinedTransport;
+
   struct PendingCall {
     ClientCallState call;
     Completion done;
@@ -154,6 +224,13 @@ class ConnectionMux {
         : rtt(rtt_config), cwnd(window_config) {}
   };
 
+  // The untagged connection (id 0): requests are the caller's own
+  // datagrams, xid first, sent unframed.
+  static constexpr uint32_t kUntaggedConn = 0;
+  void OpenUntaggedConnection();
+  void Enqueue(uint32_t conn_id, uint32_t xid, std::vector<uint8_t> request,
+               Completion done);
+
   // Effective flow-control window for one connection.
   uint32_t WindowFor(const Conn& c) const {
     return policy_.retry.adaptive.enabled ? c.cwnd.window()
@@ -164,13 +241,12 @@ class ConnectionMux {
     return (static_cast<uint64_t>(conn) << 32) | xid;
   }
 
-  // Every scheduled event reopens the connection scope it was scheduled
-  // under, so record points downstream of timers inherit the right tag.
-  EventQueue::EventId Schedule(uint64_t at_nanos, std::function<void()> fn);
+  EventQueue::EventId Schedule(uint64_t at_nanos, std::function<void()> fn) {
+    return ScheduleInScope(events_, at_nanos, &stats_.events, std::move(fn));
+  }
   void StartNext(uint32_t conn_id);
   void TransmitCall(InFlight& f);
   void OnRto(uint64_t key);
-  void ArmClientPoll();
   void DrainReplies();
   void Complete(uint64_t key, Status status, std::vector<uint8_t> reply);
 
@@ -179,17 +255,15 @@ class ConnectionMux {
   EventQueue* events_;
   Rng jitter_;
   std::function<void()> request_listener_;
+  PipelineObserver* observer_ = nullptr;
 
   uint32_t next_conn_ = 1;
   std::map<uint32_t, Conn> conns_;
   std::unordered_map<uint64_t, InFlight> in_flight_;  // by Key(conn, xid)
-  size_t outstanding_ = 0;  // submitted, not yet completed
-
-  bool client_poll_armed_ = false;
-  uint64_t client_poll_at_ = 0;
-  EventQueue::EventId client_poll_event_ = EventQueue::kInvalidEvent;
+  size_t outstanding_ = 0;  // submitted, not yet completed or cancelled
 
   Stats stats_;
+  DeliveryPoll reply_poll_;
 };
 
 // Reads the second big-endian word of a mux-framed datagram — the

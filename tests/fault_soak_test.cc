@@ -1,8 +1,8 @@
 // Seeded randomized soak of the lossy NFS read path (ISSUE 3, satellite 3).
 //
 // For each seed we derive a fault mix (drop/dup/reorder/corrupt/extra
-// delay), run the Figure-2 NFS read through the at-most-once
-// RetryingTransport, and assert the robustness contract:
+// delay), run the Figure-2 NFS read through serial at-most-once RPC (the
+// call engine with a window of one), and assert the robustness contract:
 //   * every call terminates with OK or a documented degradation code —
 //     never a hang (the virtual clock bounds every wait);
 //   * the server work function runs at most once per xid, even under
@@ -23,7 +23,6 @@
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
 #include "src/rpc/pipeline.h"
-#include "src/rpc/retry.h"
 #include "src/support/event_queue.h"
 #include "src/support/recorder.h"
 #include "src/support/rng.h"
@@ -79,17 +78,18 @@ SoakOutcome RunSoak(uint64_t seed) {
     return inner(request, reply);
   };
 
-  RetryPolicy policy;
-  policy.max_attempts = 12;
-  policy.deadline_nanos = 8'000'000'000;  // 8 virtual seconds per call
-  policy.jitter_seed = seed + 1;
-  RetryingTransport transport(&channel, counting, RemoteServerModel(),
-                              policy);
+  EventQueue events(&clock);
+  PipelinePolicy policy;
+  policy.window = 1;
+  policy.retry.max_attempts = 12;
+  policy.retry.deadline_nanos = 8'000'000'000;  // 8 virtual seconds per call
+  policy.retry.jitter_seed = seed + 1;
+  PipelinedTransport transport(&channel, counting, RemoteServerModel(),
+                               policy, &events);
 
   SoakOutcome outcome;
-  auto stats =
-      client.ReadFileLossy(NfsClient::StubKind::kGeneratedUserBuffer,
-                           &transport);
+  auto stats = client.ReadFilePipelined(
+      NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   if (stats.ok()) {
     outcome.stats = *stats;
   } else {
@@ -160,10 +160,13 @@ TEST(FaultSoakTest, NfsDroppedReplyProvesAtMostOnce) {
   reply_eater.DropExactly(0, 0);
   DatagramChannel channel(LinkModel(), FaultPlan(), std::move(reply_eater),
                           &clock);
-  RetryingTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                              RemoteServerModel(), RetryPolicy{});
+  EventQueue events(&clock);
+  PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
+                               RemoteServerModel(),
+                               PipelinePolicy{RetryPolicy{}, /*window=*/1},
+                               &events);
 
-  auto stats = client.ReadFileLossy(
+  auto stats = client.ReadFilePipelined(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->bytes_read, kNfsMaxData);
@@ -186,10 +189,12 @@ TEST(FaultSoakTest, NfsBlackHoleDegradesWithinDeadline) {
   RetryPolicy policy;
   policy.max_attempts = 6;
   policy.deadline_nanos = 2'000'000'000;
-  RetryingTransport transport(&channel, NfsFileServer::MakeHandler(&server),
-                              RemoteServerModel(), policy);
+  EventQueue events(&clock);
+  PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
+                               RemoteServerModel(),
+                               PipelinePolicy{policy, /*window=*/1}, &events);
 
-  auto stats = client.ReadFileLossy(
+  auto stats = client.ReadFilePipelined(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().code() == StatusCode::kUnavailable ||
@@ -320,7 +325,7 @@ TEST(PipelinedFaultMatrixTest, CorruptThenRetransmitRecoversViaDupCache) {
 }
 
 TEST(PipelinedFaultMatrixTest, SameSeedTwiceMatchesPipelineCounters) {
-  // Two-run determinism, including the rpc.pipeline.* counters: the event
+  // Two-run determinism, including the call engine's counters: the event
   // queue's FIFO tie-break plus seeded fault plans make the whole pipelined
   // soak a pure function of the seed.
   FaultConfig mix = MixForSeed(5, 0xA2B);
@@ -334,11 +339,10 @@ TEST(PipelinedFaultMatrixTest, SameSeedTwiceMatchesPipelineCounters) {
         << "counter " << TraceCounterName(static_cast<TraceCounter>(i));
   }
   EXPECT_GT(first.trace.counters[static_cast<size_t>(
-                TraceCounter::kRpcPipelineCalls)],
+                TraceCounter::kRpcMuxCalls)],
             0u);
-  EXPECT_GT(first.trace.counters[static_cast<size_t>(
-                TraceCounter::kRpcPipelineEvents)],
-            0u);
+  EXPECT_GT(first.rpc.events, 0u);
+  EXPECT_EQ(first.rpc.events, second.rpc.events);
 }
 
 TEST(PipelinedFaultMatrixTest, SameSeedRecordingsAreByteIdentical) {

@@ -1,9 +1,9 @@
 // Unit tests for the lossy-wire substrate (src/net/fault.h,
-// src/net/datagram.h) and the at-most-once retrying transport
-// (src/rpc/retry.h): deterministic fault decisions, checksum framing,
-// xid-keyed retransmission, duplicate suppression, and graceful
-// degradation (kUnavailable / kDeadlineExceeded / kDataLoss — never a
-// hang, never a double execution).
+// src/net/datagram.h), the at-most-once building blocks (src/rpc/retry.h),
+// and serial RPC — the call engine with a window of one: deterministic
+// fault decisions, checksum framing, xid-keyed retransmission, duplicate
+// suppression, and graceful degradation (kUnavailable / kDeadlineExceeded
+// — never a hang, never a double execution).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,9 @@
 
 #include "src/net/datagram.h"
 #include "src/net/fault.h"
+#include "src/rpc/pipeline.h"
 #include "src/rpc/retry.h"
+#include "src/support/event_queue.h"
 #include "src/support/trace.h"
 
 namespace flexrpc {
@@ -403,15 +405,17 @@ TEST(PeekXidTest, BigEndianAndTruncation) {
   EXPECT_EQ(bad.status().code(), StatusCode::kDataLoss);
 }
 
-// --- RetryingTransport over an echo server -------------------------------
+// --- serial RPC: the call engine with a window of one -------------------
 
-// An at-most-once test rig: the handler echoes the request datagram back
-// (xid stays in front) and counts executions per xid.
-struct EchoRig {
-  explicit EchoRig(FaultPlan to_server, FaultPlan to_client,
-                   RetryPolicy policy = RetryPolicy{})
+// An at-most-once test rig: a window-1 PipelinedTransport whose handler
+// echoes the request datagram back (xid stays in front) and counts
+// executions per xid.
+struct SerialRig {
+  explicit SerialRig(FaultPlan to_server, FaultPlan to_client,
+                     RetryPolicy retry = RetryPolicy{})
       : channel(LinkModel(), std::move(to_server), std::move(to_client),
                 &clock),
+        events(&clock),
         transport(
             &channel,
             [this](ByteSpan request, std::vector<uint8_t>* reply) {
@@ -423,7 +427,8 @@ struct EchoRig {
               reply->assign(request.begin(), request.end());
               return Status::Ok();
             },
-            RemoteServerModel(), policy) {}
+            RemoteServerModel(), PipelinePolicy{retry, /*window=*/1},
+            &events) {}
 
   Status Call(uint32_t xid, std::vector<uint8_t>* reply) {
     uint8_t request[8] = {
@@ -436,12 +441,13 @@ struct EchoRig {
 
   VirtualClock clock;
   DatagramChannel channel;
-  RetryingTransport transport;
+  EventQueue events;
+  PipelinedTransport transport;
   std::map<uint32_t, int> executions;
 };
 
-TEST(RetryingTransportTest, PerfectWireFirstAttemptSucceeds) {
-  EchoRig rig{FaultPlan(), FaultPlan()};
+TEST(SerialRpcTest, PerfectWireFirstAttemptSucceeds) {
+  SerialRig rig{FaultPlan(), FaultPlan()};
   std::vector<uint8_t> reply;
   ASSERT_TRUE(rig.Call(100, &reply).ok());
   EXPECT_EQ(reply.size(), 8u);
@@ -450,24 +456,25 @@ TEST(RetryingTransportTest, PerfectWireFirstAttemptSucceeds) {
   EXPECT_EQ(rig.transport.stats().dup_cache_misses, 1u);
 }
 
-TEST(RetryingTransportTest, DroppedRequestRetransmits) {
+TEST(SerialRpcTest, DroppedRequestRetransmits) {
   FaultPlan to_server;
   to_server.DropExactly(0, 0);  // lose the first request frame
-  EchoRig rig{std::move(to_server), FaultPlan()};
+  SerialRig rig{std::move(to_server), FaultPlan()};
   std::vector<uint8_t> reply;
   ASSERT_TRUE(rig.Call(7, &reply).ok());
   EXPECT_EQ(rig.executions[7], 1);  // never executed for the lost frame
   EXPECT_EQ(rig.transport.stats().retransmits, 1u);
   EXPECT_EQ(rig.transport.stats().dup_cache_hits, 0u);
-  EXPECT_GT(rig.transport.stats().backoff_nanos, 0u);
+  // The retransmit waited out at least one initial RTO.
+  EXPECT_GE(rig.clock.now_nanos(), RetryPolicy{}.initial_rto_nanos);
 }
 
-TEST(RetryingTransportTest, DroppedReplyHitsDupCacheNotTheWorkFunction) {
+TEST(SerialRpcTest, DroppedReplyHitsDupCacheNotTheWorkFunction) {
   // The at-most-once acceptance case: the request executes, the reply is
   // lost, the retransmit must be answered from the reply cache.
   FaultPlan to_client;
   to_client.DropExactly(0, 0);  // lose the first reply frame
-  EchoRig rig{FaultPlan(), std::move(to_client)};
+  SerialRig rig{FaultPlan(), std::move(to_client)};
   std::vector<uint8_t> reply;
   ASSERT_TRUE(rig.Call(9, &reply).ok());
   EXPECT_EQ(rig.executions[9], 1);  // executed exactly once
@@ -476,12 +483,12 @@ TEST(RetryingTransportTest, DroppedReplyHitsDupCacheNotTheWorkFunction) {
   EXPECT_EQ(rig.transport.stats().dup_cache_misses, 1u);
 }
 
-TEST(RetryingTransportTest, TotalLossReturnsUnavailableWithinDeadline) {
+TEST(SerialRpcTest, TotalLossReturnsUnavailableWithinDeadline) {
   FaultConfig black_hole;
   black_hole.drop_prob = 1.0;
   RetryPolicy policy;
   policy.max_attempts = 4;
-  EchoRig rig{FaultPlan(black_hole), FaultPlan(), policy};
+  SerialRig rig{FaultPlan(black_hole), FaultPlan(), policy};
   std::vector<uint8_t> reply;
   uint64_t start = rig.clock.now_nanos();
   Status st = rig.Call(11, &reply);
@@ -491,46 +498,48 @@ TEST(RetryingTransportTest, TotalLossReturnsUnavailableWithinDeadline) {
   EXPECT_LE(rig.clock.now_nanos() - start, policy.deadline_nanos);
 }
 
-TEST(RetryingTransportTest, DeadlineExceededOnTheVirtualClock) {
+TEST(SerialRpcTest, DeadlineExceededOnTheVirtualClock) {
   FaultConfig black_hole;
   black_hole.drop_prob = 1.0;
   RetryPolicy policy;
   policy.max_attempts = 1000;           // budget will not bind
   policy.deadline_nanos = 100'000'000;  // 100 ms virtual deadline
-  EchoRig rig{FaultPlan(black_hole), FaultPlan(), policy};
+  SerialRig rig{FaultPlan(black_hole), FaultPlan(), policy};
   std::vector<uint8_t> reply;
   uint64_t start = rig.clock.now_nanos();
   Status st = rig.Call(12, &reply);
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  // The call gives up at (not past) the deadline on the virtual clock;
-  // in-flight wire time already charged can exceed it only marginally.
-  EXPECT_LE(rig.clock.now_nanos() - start,
-            policy.deadline_nanos + 10'000'000);
+  // The last RTO wait is clipped at the deadline, so the call gives up
+  // exactly there on the virtual clock.
+  EXPECT_EQ(rig.clock.now_nanos() - start, policy.deadline_nanos);
   EXPECT_GE(rig.transport.stats().deadline_expiries, 1u);
 }
 
-TEST(RetryingTransportTest, LateReplyPastDeadlineIsDeadlineExceeded) {
-  // Regression: Call never rechecked the deadline after Send/PumpServer
-  // advanced the virtual clock, so a reply that arrived long after the
-  // deadline was still returned as OK. With a deadline shorter than one
-  // wire round trip, even a perfect wire delivers the reply too late.
+TEST(SerialRpcTest, LateReplyPastDeadlineIsDeadlineExceeded) {
+  // A deadline shorter than one wire round trip: even a perfect wire
+  // delivers the reply too late. The call fails with kDeadlineExceeded,
+  // the late reply is never handed to the caller, and when it does land
+  // it is discarded as stale — the server still executed the call once.
   RetryPolicy policy;
   policy.deadline_nanos = 1'000;  // 1 µs: less than any transfer takes
-  EchoRig rig{FaultPlan(), FaultPlan(), policy};
+  SerialRig rig{FaultPlan(), FaultPlan(), policy};
   std::vector<uint8_t> reply;
   Status st = rig.Call(40, &reply);
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(reply.empty());  // the late reply must not be delivered
-  EXPECT_EQ(rig.executions[40], 1);  // the server did execute it
   EXPECT_GE(rig.transport.stats().deadline_expiries, 1u);
+  rig.events.RunUntilIdle();  // let the request land and the reply return
+  EXPECT_EQ(rig.executions[40], 1);  // the server did execute it
+  EXPECT_EQ(rig.transport.stats().stale_replies, 1u);
+  EXPECT_TRUE(reply.empty());
 }
 
-TEST(RetryingTransportTest, CorruptRepliesRetryByDefault) {
+TEST(SerialRpcTest, CorruptRepliesAreRetried) {
   FaultConfig mangler;
   mangler.corrupt_prob = 1.0;  // every reply fails its checksum
   RetryPolicy policy;
   policy.max_attempts = 3;
-  EchoRig rig{FaultPlan(), FaultPlan(mangler), policy};
+  SerialRig rig{FaultPlan(), FaultPlan(mangler), policy};
   std::vector<uint8_t> reply;
   Status st = rig.Call(13, &reply);
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);  // degraded, not hung
@@ -539,25 +548,13 @@ TEST(RetryingTransportTest, CorruptRepliesRetryByDefault) {
   EXPECT_EQ(rig.transport.stats().dup_cache_hits, 2u);
 }
 
-TEST(RetryingTransportTest, CorruptReplyFailsFastWhenConfigured) {
-  FaultConfig mangler;
-  mangler.corrupt_prob = 1.0;
-  RetryPolicy policy;
-  policy.retry_on_corrupt = false;
-  EchoRig rig{FaultPlan(), FaultPlan(mangler), policy};
-  std::vector<uint8_t> reply;
-  Status st = rig.Call(14, &reply);
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(rig.transport.stats().retransmits, 0u);
-}
-
-TEST(RetryingTransportTest, StaleDuplicateRepliesAreDiscarded) {
+TEST(SerialRpcTest, StaleDuplicateRepliesAreDiscarded) {
   FaultConfig dupper;
   dupper.dup_prob = 1.0;  // every reply arrives twice
-  EchoRig rig{FaultPlan(), FaultPlan(dupper)};
+  SerialRig rig{FaultPlan(), FaultPlan(dupper)};
   std::vector<uint8_t> reply;
   ASSERT_TRUE(rig.Call(20, &reply).ok());
-  // Call 20's duplicate reply is still queued; call 21 must skip past it.
+  // Call 20's duplicate reply is still in flight; call 21 must skip it.
   ASSERT_TRUE(rig.Call(21, &reply).ok());
   EXPECT_EQ(PeekXid(ByteSpan(reply.data(), reply.size())).value(), 21u);
   EXPECT_GE(rig.transport.stats().stale_replies, 1u);
@@ -565,37 +562,55 @@ TEST(RetryingTransportTest, StaleDuplicateRepliesAreDiscarded) {
   EXPECT_EQ(rig.executions[21], 1);
 }
 
-TEST(RetryingTransportTest, BackoffWaitsGrowExponentially) {
+// Records the virtual time of every RTO fire.
+struct RtoTimes : PipelineObserver {
+  explicit RtoTimes(VirtualClock* c) : clock(c) {}
+  void OnRtoFired(uint32_t, uint32_t) override {
+    fires.push_back(clock->now_nanos());
+  }
+  void OnReplyMatched(uint32_t) override {}
+  VirtualClock* clock;
+  std::vector<uint64_t> fires;
+};
+
+TEST(SerialRpcTest, BackoffWaitsGrowExponentially) {
   FaultConfig black_hole;
   black_hole.drop_prob = 1.0;
   RetryPolicy policy;
   policy.max_attempts = 4;
   policy.initial_rto_nanos = 1'000'000;
   policy.max_rto_nanos = 1'000'000'000;
-  EchoRig rig{FaultPlan(black_hole), FaultPlan(), policy};
+  SerialRig rig{FaultPlan(black_hole), FaultPlan(), policy};
+  RtoTimes rto(&rig.clock);
+  rig.transport.set_observer(&rto);
   std::vector<uint8_t> reply;
-  (void)rig.Call(30, &reply);
-  // Three waits of ~1, ~2, ~4 ms (plus ≤25% jitter each).
-  uint64_t backoff = rig.transport.stats().backoff_nanos;
-  EXPECT_GE(backoff, 7'000'000u);
-  EXPECT_LE(backoff, 7'000'000u + 3u * 250'000u + 3u);
+  EXPECT_EQ(rig.Call(30, &reply).code(), StatusCode::kUnavailable);
+  // One timer per transmission: waits of ~1, ~2, ~4, ~8 ms, each plus at
+  // most 25% jitter.
+  ASSERT_EQ(rto.fires.size(), 4u);
+  uint64_t previous = 0;
+  uint64_t rto_nanos = policy.initial_rto_nanos;
+  for (uint64_t fire : rto.fires) {
+    EXPECT_GE(fire - previous, rto_nanos);
+    EXPECT_LE(fire - previous, rto_nanos + rto_nanos / 4);
+    previous = fire;
+    rto_nanos *= 2;
+  }
 }
 
-// --- VirtualTraceSpan: no wall-clock leakage -----------------------------
-
-TEST(RetryingTransportTest, ServerExecSpanRecordsExactVirtualDuration) {
+TEST(SerialRpcTest, ServerExecSpanRecordsExactVirtualDuration) {
   SetTraceEnabled(false);
   ResetTrace();
   {
     TraceSession session;
-    EchoRig rig{FaultPlan(), FaultPlan()};
+    SerialRig rig{FaultPlan(), FaultPlan()};
     std::vector<uint8_t> reply;
     ASSERT_TRUE(rig.Call(1, &reply).ok());
     TraceSnapshot snap = session.Report();
     const auto& h = snap.histogram(TraceHistogram::kRpcDispatchNanos);
-    // The span brackets server_model_.Process, which advances the virtual
-    // clock by exactly ProcessNanos(reply size) — the histogram sum must
-    // equal that modeled duration, not some host-dependent elapsed time.
+    // The dispatch loop observes the worker's modeled CPU window, exactly
+    // ProcessNanos(reply size) — the histogram sum must equal that
+    // modeled duration, not some host-dependent elapsed time.
     EXPECT_EQ(h.count, 1u);
     EXPECT_EQ(h.sum, RemoteServerModel().ProcessNanos(reply.size()));
   }
@@ -603,12 +618,11 @@ TEST(RetryingTransportTest, ServerExecSpanRecordsExactVirtualDuration) {
   ResetTrace();
 }
 
-TEST(RetryingTransportTest, TraceSnapshotIsByteIdenticalAcrossRuns) {
-  // Satellite regression: the server-exec path once timed itself with a
-  // wall-clock TraceSpan, leaking host nanos into rpc.dispatch_nanos and
-  // breaking same-seed byte identity of trace artifacts. Two identical
-  // seeded lossy workloads must now serialize identical snapshots,
-  // histograms included.
+TEST(SerialRpcTest, TraceSnapshotIsByteIdenticalAcrossRuns) {
+  // The server-exec path once timed itself with a wall-clock TraceSpan,
+  // leaking host nanos into rpc.dispatch_nanos and breaking same-seed
+  // byte identity of trace artifacts. Two identical seeded lossy
+  // workloads must serialize identical snapshots, histograms included.
   auto run = []() {
     TraceSession session;
     FaultConfig mixed = MixedFaults(/*seed=*/17);
@@ -616,7 +630,7 @@ TEST(RetryingTransportTest, TraceSnapshotIsByteIdenticalAcrossRuns) {
     policy.max_attempts = 8;
     policy.deadline_nanos = 4'000'000'000;
     policy.jitter_seed = 18;
-    EchoRig rig{FaultPlan(mixed), FaultPlan(mixed), policy};
+    SerialRig rig{FaultPlan(mixed), FaultPlan(mixed), policy};
     std::vector<uint8_t> reply;
     for (uint32_t xid = 1; xid <= 24; ++xid) {
       (void)rig.Call(xid, &reply);

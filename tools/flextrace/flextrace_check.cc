@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -32,6 +33,7 @@
 #include "src/support/status.h"
 #include "src/support/strings.h"
 #include "src/support/timeline.h"
+#include "src/support/trace.h"
 
 namespace flexrpc {
 namespace {
@@ -76,15 +78,8 @@ constexpr const char* kGatedCounters[] = {
     "net.fault.corrupts",
     "net.checksum_failures",
     "net.frame_copies",
-    "rpc.retry.retransmits",
     "rpc.dupcache.hits",
     "rpc.dupcache.misses",
-    "rpc.pipeline.calls",
-    "rpc.pipeline.retransmits",
-    "rpc.pipeline.stale_replies",
-    "rpc.pipeline.out_of_order",
-    "rpc.pipeline.window_stalls",
-    "rpc.pipeline.events",
     // Adaptive transport: estimator samples, Karn exclusions, RTO clamps,
     // and AIMD window moves are exact for the seeded bench workloads — a
     // drift means the control loop's trajectory changed.
@@ -102,8 +97,9 @@ constexpr const char* kGatedCounters[] = {
     "rpc.binder.cutovers",
     "rpc.failover.suspects",
     "rpc.failover.reinstates",
-    // Fleet stack (connection mux + worker-pool dispatch). Exact for a
-    // fixed seed: arrivals, faults, sheds, and retransmits all replay.
+    // The call engine (connection mux) and the dispatch loop every lossy-
+    // wire transport runs on. Exact for a fixed seed: arrivals, faults,
+    // sheds, and retransmits all replay.
     "rpc.mux.conns_opened",
     "rpc.mux.calls",
     "rpc.mux.retransmits",
@@ -177,17 +173,46 @@ uint64_t HistogramCountOf(const JsonValue& artifact,
   return static_cast<uint64_t>(v->number);
 }
 
-// Resolves a budget key to its observed value: "<histogram>.count" keys
-// read trace.histograms, everything else reads trace.counters.
-uint64_t GatedValueOf(const JsonValue& artifact, const std::string& key) {
+// "<histogram>.count" budget keys name a histogram's observation count;
+// returns the histogram name, or nullopt for a counter key.
+std::optional<std::string> HistogramOfKey(const std::string& key) {
   constexpr std::string_view kCountSuffix = ".count";
   if (key.size() > kCountSuffix.size() &&
       key.compare(key.size() - kCountSuffix.size(), kCountSuffix.size(),
                   kCountSuffix) == 0) {
-    return HistogramCountOf(
-        artifact, key.substr(0, key.size() - kCountSuffix.size()));
+    return key.substr(0, key.size() - kCountSuffix.size());
+  }
+  return std::nullopt;
+}
+
+// Resolves a budget key to its observed value: "<histogram>.count" keys
+// read trace.histograms, everything else reads trace.counters.
+uint64_t GatedValueOf(const JsonValue& artifact, const std::string& key) {
+  if (auto histogram = HistogramOfKey(key)) {
+    return HistogramCountOf(artifact, *histogram);
   }
   return CounterOf(artifact, key.c_str());
+}
+
+// Whether the trace catalog defines the name a budget key gates. A key it
+// does not define reads as 0 forever, so a stale or misspelled key pinned
+// at 0 would pass every run. Checked against the name tables rather than
+// the artifact because empty histograms are omitted from artifacts.
+bool KnownBudgetKey(const std::string& key) {
+  if (auto histogram = HistogramOfKey(key)) {
+    for (size_t i = 0; i < kTraceHistogramCount; ++i) {
+      if (TraceHistogramName(static_cast<TraceHistogram>(i)) == *histogram) {
+        return true;
+      }
+    }
+    return false;
+  }
+  for (size_t i = 0; i < kTraceCounterCount; ++i) {
+    if (TraceCounterName(static_cast<TraceCounter>(i)) == key) {
+      return true;
+    }
+  }
+  return false;
 }
 
 struct Options {
@@ -247,6 +272,12 @@ void CheckBench(const std::string& bench, const JsonValue& artifact,
     return;
   }
   for (const auto& [name, want] : budget->object) {
+    if (!KnownBudgetKey(name)) {
+      violations->push_back(StrFormat(
+          "%s: unknown %s %s (not in the trace catalog)", bench.c_str(),
+          HistogramOfKey(name) ? "histogram" : "counter", name.c_str()));
+      continue;
+    }
     uint64_t got = GatedValueOf(artifact, name);
     uint64_t lo;
     uint64_t hi;
