@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     sweep.push_back(row);
   }
   // One traced repetition (window=8, clean + lossy, plus one adaptive
-  // lossy run) pins the rpc.pipeline.* and rpc.rtt.*/rpc.cwnd.* counters
+  // lossy run) pins the rpc.mux.* and rpc.rtt.*/rpc.cwnd.* counters
   // for the budget gate. The lossy adaptive run exercises Karn skips
   // (replies to retransmitted requests) and both AIMD directions.
   harness.Traced([&] {

@@ -8,7 +8,7 @@
 // retransmits add more queueing, and throughput collapses (congestion
 // collapse in miniature). PR 5's flight recorder classifies exactly those
 // spurious RTOs. This module closes the loop with the two classic
-// controllers, shared by the serial and pipelined transports:
+// controllers, one pair per connection of the call engine (src/rpc/mux.h):
 //
 //   * RttEstimator — Jacobson/Karels smoothed RTT + mean deviation
 //     (RFC 6298 arithmetic: srtt <- 7/8 srtt + 1/8 R, rttvar <- 3/4
