@@ -2,12 +2,14 @@
 //
 // The channel moves whole datagrams between two endpoints (A = client,
 // B = server) through per-direction FIFO queues. Each send is framed with a
-// magic word, a per-direction sequence number, the payload length, and a
-// CRC32C checksum over the payload; the FaultPlan for that direction then
-// decides whether the frame is dropped, duplicated, reordered ahead of the
-// queue, corrupted (one byte flipped — CRC32C detects every burst error of
-// 32 bits or less, so the receiver always catches it, exactly like a UDP
-// checksum discard), or held back by an extra delivery delay. Wire
+// 16-byte header — magic word, per-direction sequence number, payload
+// length, and a CRC32C checksum over the payload — kept apart from the
+// payload bytes, which Send copies once and Receive hands over by move.
+// The FaultPlan for that direction then decides whether the frame is
+// dropped, duplicated, reordered ahead of the queue, corrupted (one byte
+// flipped — CRC32C detects every burst error of 32 bits or less, so the
+// receiver always catches it, exactly like a UDP checksum discard), or
+// held back by an extra delivery delay. Wire
 // occupancy is charged to the VirtualClock at send time for every physical
 // transmission (dropped and duplicated frames occupied the wire too); extra
 // delay is charged at delivery.
@@ -19,8 +21,8 @@
 #ifndef FLEXRPC_SRC_NET_DATAGRAM_H_
 #define FLEXRPC_SRC_NET_DATAGRAM_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -60,16 +62,19 @@ class DatagramChannel {
                   FaultPlan plan_b_to_a, VirtualClock* clock);
 
   // Frames `payload` and transmits it in direction `dir`, applying that
-  // direction's fault plan. Charges wire time for every physical frame.
+  // direction's fault plan. Charges wire time for every physical frame
+  // (header included). Copies the payload exactly once (twice for a
+  // duplicated frame).
   void Send(Dir dir, ByteSpan payload);
 
   // True when a frame is waiting to be received in direction `dir`.
   bool HasPending(Dir dir) const;
 
-  // Delivers the next frame's payload. Returns kDataLoss when the frame
-  // fails validation (bad magic/length/checksum) — the frame is consumed,
-  // as a real UDP stack silently discards it. kFailedPrecondition when the
-  // queue is empty (callers should check HasPending first).
+  // Delivers the next frame's payload, moved out of the queue without a
+  // copy. Returns kDataLoss when the frame fails validation (bad
+  // magic/length/checksum) — the frame is consumed, as a real UDP stack
+  // silently discards it. kFailedPrecondition when the queue is empty
+  // (callers should check HasPending first).
   Result<std::vector<uint8_t>> Receive(Dir dir);
 
   // --- scheduled delivery (event-driven transports) ------------------
@@ -107,19 +112,44 @@ class DatagramChannel {
   const LinkModel& link() const { return link_; }
 
  private:
+  static constexpr size_t kHeaderSize = 16;  // magic, seq, length, crc
+
+  // One physical frame, post-corruption. Wire offsets [0, 16) are the
+  // header and [16, 16 + payload.size()) the payload.
   struct Frame {
-    std::vector<uint8_t> bytes;       // header + payload, post-corruption
+    std::array<uint8_t, kHeaderSize> header{};
+    std::vector<uint8_t> payload;
     uint64_t extra_delay_nanos = 0;   // charged at delivery (lockstep mode)
     uint64_t deliver_at_nanos = 0;    // receivable time (scheduled mode)
+    size_t wire_size() const { return kHeaderSize + payload.size(); }
   };
 
-  void Transmit(Dir dir, std::vector<uint8_t> bytes,
-                const FaultPlan::Decision& d);
+  // A per-direction FIFO of frames on a power-of-two ring, so steady-state
+  // queueing allocates nothing. push_front serves reordering.
+  class FrameQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    Frame& front() { return ring_[head_]; }
+    const Frame& front() const { return ring_[head_]; }
+    void push_back(Frame frame);
+    void push_front(Frame frame);
+    Frame pop_front();
+
+   private:
+    void GrowIfFull();
+    size_t mask() const { return ring_.size() - 1; }
+
+    std::vector<Frame> ring_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
+  void Transmit(Dir dir, Frame frame, const FaultPlan::Decision& d);
 
   LinkModel link_;
   FaultPlan plans_[2];
   VirtualClock* clock_;
-  std::deque<Frame> queues_[2];
+  FrameQueue queues_[2];
   uint32_t next_seq_[2] = {0, 0};
   bool scheduled_ = false;
   bool conn_tagging_ = false;

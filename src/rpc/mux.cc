@@ -23,24 +23,6 @@ Result<uint32_t> PeekMuxConn(ByteSpan datagram) {
   return r.ReadU32Be();
 }
 
-EventQueue::EventId ScheduleInScope(EventQueue* events, uint64_t at_nanos,
-                                    uint64_t* dispatches,
-                                    std::function<void()> fn) {
-  // Timer events fire with no ambient identity; capture the scopes active
-  // at scheduling time and reopen them inside the event, so retransmits
-  // and reply sends downstream of timers record under the right
-  // connection and replica.
-  uint32_t conn_tag = RecorderConnScope::Current();
-  uint32_t replica_tag = RecorderReplicaScope::Current();
-  return events->ScheduleAt(at_nanos, [dispatches, conn_tag, replica_tag,
-                                       fn = std::move(fn)]() {
-    RecorderReplicaScope replica_scope(replica_tag);
-    RecorderConnScope conn_scope(conn_tag);
-    ++*dispatches;
-    fn();
-  });
-}
-
 void DeliveryPoll::Arm() {
   auto next = channel_->NextDeliveryNanos(dir_);
   if (!next) {
@@ -72,55 +54,71 @@ ConnectionMux::ConnectionMux(DatagramChannel* channel, MuxPolicy policy,
   channel_->set_scheduled_delivery(true);
 }
 
+ConnectionMux::Conn& ConnectionMux::AppendConn() {
+  return conns_.emplace_back(policy_.retry.adaptive.rtt,
+                             policy_.retry.adaptive.window);
+}
+
 uint32_t ConnectionMux::OpenConnection() {
   channel_->set_conn_tagging(true);
-  uint32_t conn = next_conn_++;
-  conns_.emplace(conn, Conn(policy_.retry.adaptive.rtt,
-                            policy_.retry.adaptive.window));
+  if (conns_.empty()) {
+    AppendConn();  // id 0 belongs to the untagged connection
+  }
+  uint32_t conn = static_cast<uint32_t>(conns_.size());
+  AppendConn().open = true;
+  ++open_conns_;
   ++stats_.conns_opened;
   TraceAdd(TraceCounter::kRpcMuxConnsOpened);
   return conn;
 }
 
 void ConnectionMux::OpenUntaggedConnection() {
-  conns_.emplace(kUntaggedConn, Conn(policy_.retry.adaptive.rtt,
-                                     policy_.retry.adaptive.window));
+  if (conns_.empty()) {
+    AppendConn();
+  }
+  if (!conns_[kUntaggedConn].open) {
+    conns_[kUntaggedConn].open = true;
+    ++open_conns_;
+  }
 }
 
 uint64_t ConnectionMux::total_window() const {
   uint64_t total = 0;
-  for (const auto& [id, c] : conns_) {
-    total += WindowFor(c);
+  for (const Conn& c : conns_) {
+    if (c.open) {
+      total += WindowFor(c);
+    }
   }
   return total;
 }
 
 const RttEstimator* ConnectionMux::conn_rtt(uint32_t conn) const {
-  auto it = conns_.find(conn);
-  return it == conns_.end() ? nullptr : &it->second.rtt;
+  const Conn* c = FindConn(conn);
+  return c == nullptr ? nullptr : &c->rtt;
 }
 
 const AimdController* ConnectionMux::conn_cwnd(uint32_t conn) const {
-  auto it = conns_.find(conn);
-  return it == conns_.end() ? nullptr : &it->second.cwnd;
+  const Conn* c = FindConn(conn);
+  return c == nullptr ? nullptr : &c->cwnd;
 }
 
 uint32_t ConnectionMux::conn_window(uint32_t conn) const {
-  auto it = conns_.find(conn);
-  return it == conns_.end() ? 0 : WindowFor(it->second);
+  const Conn* c = FindConn(conn);
+  return c == nullptr ? 0 : WindowFor(*c);
 }
 
 uint32_t ConnectionMux::Submit(uint32_t conn_id, ByteSpan body,
                                Completion done) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
+  Conn* c = FindConn(conn_id);
+  if (c == nullptr) {
     done(InvalidArgumentError(
              StrFormat("submit on unopened connection %u", conn_id)),
          {});
     return 0;
   }
-  uint32_t xid = it->second.next_xid++;
+  uint32_t xid = c->next_xid++;
   ByteWriter w;
+  w.Reserve(8 + body.size());
   w.WriteU32Be(xid);
   w.WriteU32Be(conn_id);
   w.WriteSpan(body);
@@ -130,7 +128,7 @@ uint32_t ConnectionMux::Submit(uint32_t conn_id, ByteSpan body,
 
 void ConnectionMux::Enqueue(uint32_t conn_id, uint32_t xid,
                             std::vector<uint8_t> request, Completion done) {
-  Conn& c = conns_.at(conn_id);
+  Conn& c = conns_[conn_id];
   RecorderConnScope conn_scope(conn_id);
   ++stats_.calls;
   TraceAdd(TraceCounter::kRpcMuxCalls);
@@ -144,34 +142,40 @@ void ConnectionMux::Enqueue(uint32_t conn_id, uint32_t xid,
   RecordEvent(RecEvent::kCallSubmit, RecEndpoint::kClient, xid,
               events_->clock()->now_nanos(),
               /*a=*/pending.call.request.size());
+  ++outstanding_;
+  // StartNext leaves the queue empty whenever the window has room, so a
+  // call that fits starts at once without a trip through the queue.
   if (c.in_flight >= WindowFor(c)) {
     ++stats_.flow_stalls;
     TraceAdd(TraceCounter::kRpcMuxFlowStalls);
+    c.pending.push_back(std::move(pending));
+    return;
   }
-  ++outstanding_;
-  c.pending.push_back(std::move(pending));
-  StartNext(conn_id);
+  Launch(conn_id, c, std::move(pending));
 }
 
 void ConnectionMux::StartNext(uint32_t conn_id) {
-  auto conn_it = conns_.find(conn_id);
-  if (conn_it == conns_.end()) {
+  Conn* conn = FindConn(conn_id);
+  if (conn == nullptr) {
     return;
   }
-  Conn& c = conn_it->second;
+  Conn& c = *conn;
   while (c.in_flight < WindowFor(c) && !c.pending.empty()) {
     PendingCall next = std::move(c.pending.front());
     c.pending.pop_front();
-    uint64_t key = Key(conn_id, next.call.xid);
-    InFlight& f = in_flight_[key];
-    f.conn = conn_id;
-    f.call = std::move(next.call);
-    f.done = std::move(next.done);
-    ++c.in_flight;
-    stats_.max_in_flight =
-        std::max<uint64_t>(stats_.max_in_flight, in_flight_.size());
-    TransmitCall(f);
+    Launch(conn_id, c, std::move(next));
   }
+}
+
+void ConnectionMux::Launch(uint32_t conn_id, Conn& c, PendingCall next) {
+  InFlight& f = in_flight_[Key(conn_id, next.call.xid)];
+  f.conn = conn_id;
+  f.call = std::move(next.call);
+  f.done = std::move(next.done);
+  ++c.in_flight;
+  stats_.max_in_flight =
+      std::max<uint64_t>(stats_.max_in_flight, in_flight_.size());
+  TransmitCall(f);
 }
 
 void ConnectionMux::TransmitCall(InFlight& f) {
@@ -192,12 +196,12 @@ void ConnectionMux::TransmitCall(InFlight& f) {
   uint64_t now = events_->clock()->now_nanos();
   bool expires = false;
   uint64_t wait;
-  auto conn_it = conns_.find(f.conn);
-  if (policy_.retry.adaptive.enabled && conn_it != conns_.end()) {
+  const Conn* conn = FindConn(f.conn);
+  if (policy_.retry.adaptive.enabled && conn != nullptr) {
     // This connection's estimator owns the RTO (and its Karn backoff —
     // see OnRto); samples never cross connections, so a slow peer cannot
     // inflate this one's timer.
-    wait = ClipRtoWait(conn_it->second.rtt.rto_nanos(),
+    wait = ClipRtoWait(conn->rtt.rto_nanos(),
                        f.call.deadline_nanos, &jitter_, now, &expires);
   } else {
     wait = f.call.NextBackoffWait(policy_.retry, &jitter_, now, &expires);
@@ -221,14 +225,14 @@ void ConnectionMux::OnRto(uint64_t key) {
   if (observer_ != nullptr) {
     observer_->OnRtoFired(f.call.xid, f.call.attempts);
   }
-  auto conn_it = conns_.find(f.conn);
-  if (policy_.retry.adaptive.enabled && conn_it != conns_.end() &&
+  Conn* conn = FindConn(f.conn);
+  if (policy_.retry.adaptive.enabled && conn != nullptr &&
       !f.call.DeadlinePassed(now)) {
     // A genuine timeout on this connection: Karn-backoff its RTO until
     // the next clean sample, and signal its AIMD loss. OnLoss holds off
     // repeat decreases for one RTO, so a burst of timeouts from one
     // congestion episode halves this connection's window once.
-    Conn& c = conn_it->second;
+    Conn& c = *conn;
     c.rtt.Backoff();
     if (c.cwnd.OnLoss(now, c.rtt.rto_nanos())) {
       ++stats_.cwnd_decreases;
@@ -264,8 +268,9 @@ void ConnectionMux::DrainReplies() {
       // it is a loss signal for that connection's window.
       ++stats_.corrupt_replies;
       TraceAdd(TraceCounter::kRpcCorruptReplies);
-      if (policy_.retry.adaptive.enabled && conns_.size() == 1) {
-        Conn& c = conns_.begin()->second;
+      if (policy_.retry.adaptive.enabled && open_conns_ == 1) {
+        // Connections never close, so the only open one is the newest.
+        Conn& c = conns_.back();
         uint64_t now = events_->clock()->now_nanos();
         if (c.cwnd.OnLoss(now, c.rtt.rto_nanos())) {
           ++stats_.cwnd_decreases;
@@ -309,9 +314,8 @@ void ConnectionMux::DrainReplies() {
       continue;
     }
     if (policy_.retry.adaptive.enabled) {
-      auto conn_state = conns_.find(*conn);
-      if (conn_state != conns_.end()) {
-        Conn& c = conn_state->second;
+      if (Conn* conn_state = FindConn(*conn)) {
+        Conn& c = *conn_state;
         if (it->second.call.attempts == 1) {
           // Karn's rule, per connection: only a reply to this
           // connection's never-retransmitted request is an unambiguous
@@ -372,18 +376,18 @@ void ConnectionMux::Complete(uint64_t key, Status status,
   uint32_t conn_id = f.conn;
   Completion done = std::move(f.done);
   in_flight_.erase(it);
-  --conns_.at(conn_id).in_flight;
+  --conns_[conn_id].in_flight;
   --outstanding_;
   StartNext(conn_id);  // the freed window slot admits the next queued call
   done(std::move(status), std::move(reply));
 }
 
 bool ConnectionMux::Cancel(uint32_t conn_id, uint32_t xid) {
-  auto conn_it = conns_.find(conn_id);
-  if (conn_it == conns_.end()) {
+  Conn* conn = FindConn(conn_id);
+  if (conn == nullptr) {
     return false;
   }
-  Conn& c = conn_it->second;
+  Conn& c = *conn;
   auto it = in_flight_.find(Key(conn_id, xid));
   if (it != in_flight_.end()) {
     if (it->second.rto_event != EventQueue::kInvalidEvent) {

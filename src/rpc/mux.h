@@ -49,13 +49,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "src/net/datagram.h"
 #include "src/rpc/retry.h"
 #include "src/support/event_queue.h"
+#include "src/support/recorder.h"
 #include "src/support/status.h"
 
 namespace flexrpc {
@@ -77,10 +77,25 @@ class PipelineObserver {
 // Schedules `fn` at `at_nanos` on `events`. The event reopens the recorder
 // connection and replica scopes active at scheduling time, so record
 // points downstream of timers inherit the right tags, and bumps
-// `*dispatches` when it runs.
+// `*dispatches` when it runs. The scope wrapper holds `fn` by value, so a
+// small capture stays inside the event's inline callback storage.
+template <typename F>
 EventQueue::EventId ScheduleInScope(EventQueue* events, uint64_t at_nanos,
-                                    uint64_t* dispatches,
-                                    std::function<void()> fn);
+                                    uint64_t* dispatches, F fn) {
+  // Timer events fire with no ambient identity; capture the scopes active
+  // at scheduling time and reopen them inside the event, so retransmits
+  // and reply sends downstream of timers record under the right
+  // connection and replica.
+  uint32_t conn_tag = RecorderConnScope::Current();
+  uint32_t replica_tag = RecorderReplicaScope::Current();
+  return events->ScheduleAt(at_nanos, [dispatches, conn_tag, replica_tag,
+                                       fn = std::move(fn)]() mutable {
+    RecorderReplicaScope replica_scope(replica_tag);
+    RecorderConnScope conn_scope(conn_tag);
+    ++*dispatches;
+    fn();
+  });
+}
 
 // A coalesced wakeup for frames arriving in one channel direction: at most
 // one poll event is scheduled, at the earliest pending delivery time, and
@@ -147,8 +162,9 @@ class ConnectionMux {
   ConnectionMux(DatagramChannel* channel, MuxPolicy policy,
                 EventQueue* events);
 
-  // Opens a new tagged connection and returns its id (1-based; ids never
-  // reuse). Turns the channel's conn tagging on.
+  // Opens a new tagged connection and returns its id (1-based and dense;
+  // ids never reuse, and id 0 is the untagged connection). Turns the
+  // channel's conn tagging on.
   uint32_t OpenConnection();
 
   // Submits one call on `conn` (which must be open). The mux allocates
@@ -214,6 +230,7 @@ class ConnectionMux {
     EventQueue::EventId rto_event = EventQueue::kInvalidEvent;
   };
   struct Conn {
+    bool open = false;       // slot 0 stays closed on a tagged engine
     uint32_t next_xid = 1;   // per-connection namespace
     uint32_t in_flight = 0;  // window occupancy
     std::deque<PendingCall> pending;
@@ -228,6 +245,15 @@ class ConnectionMux {
   // datagrams, xid first, sent unframed.
   static constexpr uint32_t kUntaggedConn = 0;
   void OpenUntaggedConnection();
+  // Appends the connection slot with the next id.
+  Conn& AppendConn();
+  // The open connection `id`, or nullptr.
+  Conn* FindConn(uint32_t id) {
+    return id < conns_.size() && conns_[id].open ? &conns_[id] : nullptr;
+  }
+  const Conn* FindConn(uint32_t id) const {
+    return id < conns_.size() && conns_[id].open ? &conns_[id] : nullptr;
+  }
   void Enqueue(uint32_t conn_id, uint32_t xid, std::vector<uint8_t> request,
                Completion done);
 
@@ -241,10 +267,13 @@ class ConnectionMux {
     return (static_cast<uint64_t>(conn) << 32) | xid;
   }
 
-  EventQueue::EventId Schedule(uint64_t at_nanos, std::function<void()> fn) {
+  template <typename F>
+  EventQueue::EventId Schedule(uint64_t at_nanos, F fn) {
     return ScheduleInScope(events_, at_nanos, &stats_.events, std::move(fn));
   }
   void StartNext(uint32_t conn_id);
+  // Moves a call into flight on `c` (which has window room) and sends it.
+  void Launch(uint32_t conn_id, Conn& c, PendingCall next);
   void TransmitCall(InFlight& f);
   void OnRto(uint64_t key);
   void DrainReplies();
@@ -257,8 +286,10 @@ class ConnectionMux {
   std::function<void()> request_listener_;
   PipelineObserver* observer_ = nullptr;
 
-  uint32_t next_conn_ = 1;
-  std::map<uint32_t, Conn> conns_;
+  // Indexed by connection id. A deque, so opening a connection (a
+  // completion may) never moves an existing Conn.
+  std::deque<Conn> conns_;
+  size_t open_conns_ = 0;
   std::unordered_map<uint64_t, InFlight> in_flight_;  // by Key(conn, xid)
   size_t outstanding_ = 0;  // submitted, not yet completed or cancelled
 

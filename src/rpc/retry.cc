@@ -75,6 +75,11 @@ AtMostOnceEndpoint::ConnState& AtMostOnceEndpoint::StateFor(uint32_t conn) {
   return it->second;
 }
 
+AtMostOnceEndpoint::ConnState* AtMostOnceEndpoint::FindState(uint32_t conn) {
+  auto it = conns_.find(conn);
+  return it == conns_.end() ? nullptr : &it->second;
+}
+
 ReplyCache& AtMostOnceEndpoint::CacheFor(uint32_t conn) {
   return StateFor(conn).cache;
 }
@@ -89,7 +94,9 @@ uint64_t AtMostOnceEndpoint::evictions() const {
 
 const std::vector<uint8_t>* AtMostOnceEndpoint::FindCached(uint32_t conn,
                                                            uint32_t xid) {
-  const std::vector<uint8_t>* cached = StateFor(conn).cache.Find(xid);
+  ConnState* state = FindState(conn);
+  const std::vector<uint8_t>* cached =
+      state == nullptr ? nullptr : state->cache.Find(xid);
   if (cached != nullptr) {
     ++hits_;
     TraceAdd(TraceCounter::kRpcDupCacheHits);
@@ -103,11 +110,8 @@ Result<AtMostOnceEndpoint::Handled> AtMostOnceEndpoint::Handle(
   if (!xid.ok()) {
     return xid.status();  // unparseable datagram: nothing to reply to
   }
-  ConnState& state = StateFor(conn);
-  if (const std::vector<uint8_t>* cached = state.cache.Find(*xid)) {
+  if (const std::vector<uint8_t>* cached = FindCached(conn, *xid)) {
     // Duplicate request: hand back the cached reply, do NOT re-execute.
-    ++hits_;
-    TraceAdd(TraceCounter::kRpcDupCacheHits);
     return Handled{*xid, true, cached};
   }
   std::vector<uint8_t> reply;
@@ -115,6 +119,10 @@ Result<AtMostOnceEndpoint::Handled> AtMostOnceEndpoint::Handle(
   if (!st.ok()) {
     return st;  // malformed request body: drop, as a real server would
   }
+  // Only a successful execution creates connection state: conn ids come
+  // off the wire, and a frame that is rejected, shed or merely probed must
+  // not cost the server memory.
+  ConnState& state = StateFor(conn);
   if (state.AlreadyExecuted(*xid)) {
     // The cache missed on an xid this connection has executed before: LRU
     // churn evicted the entry while the client was still retransmitting,

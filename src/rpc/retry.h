@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -115,15 +114,17 @@ class AtMostOnceEndpoint {
   AtMostOnceEndpoint(DatagramHandler handler, size_t cache_capacity = 256)
       : handler_(std::move(handler)), cache_capacity_(cache_capacity) {}
 
-  // Processes one request datagram on `conn`'s at-most-once state. Non-OK
+  // Processes one request datagram on `conn`'s at-most-once state, which
+  // is created on the connection's first successful execution. Non-OK
   // means the datagram was unparseable or the handler rejected it —
   // nothing executed beyond the (at most one) handler attempt, nothing to
-  // send.
+  // send, no state kept.
   Result<Handled> Handle(uint32_t conn, ByteSpan request);
   Result<Handled> Handle(ByteSpan request) { return Handle(0, request); }
 
   // Dedup probe without execution: the cached reply for (conn, xid), or
-  // nullptr. A hit counts as a dup-cache hit — the caller resends it (the
+  // nullptr. Never creates state for an unknown connection. A hit counts
+  // as a dup-cache hit — the caller resends it (the
   // dispatch loop probes before admission so a duplicate never occupies a
   // worker or a run-queue slot).
   const std::vector<uint8_t>* FindCached(uint32_t conn, uint32_t xid);
@@ -156,11 +157,14 @@ class AtMostOnceEndpoint {
     void MarkExecuted(uint32_t xid);
   };
 
+  // FindState never inserts; StateFor creates the connection's state.
+  ConnState* FindState(uint32_t conn);
   ConnState& StateFor(uint32_t conn);
 
   DatagramHandler handler_;
   size_t cache_capacity_;
-  std::map<uint32_t, ConnState> conns_;
+  // Hashed, never dense: the ids arrive from the wire.
+  std::unordered_map<uint32_t, ConnState> conns_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evicted_reexecs_ = 0;

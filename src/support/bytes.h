@@ -23,6 +23,10 @@ class ByteWriter {
  public:
   ByteWriter() = default;
 
+  // Pre-sizes the buffer for `capacity` bytes, so a writer whose final
+  // size is known up front allocates exactly once.
+  void Reserve(size_t capacity) { buffer_.reserve(capacity); }
+
   void WriteU8(uint8_t v) { buffer_.push_back(v); }
 
   void WriteU16Be(uint16_t v) {

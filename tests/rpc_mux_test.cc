@@ -1,11 +1,13 @@
 // Unit tests for the client call engine (src/rpc/mux.h) wired to the
 // dispatch loop (src/rpc/dispatch.h) over an echo server: per-connection
 // Cancel, the rule that a corrupt reply is a loss signal only when it is
-// attributable to a connection, and the dispatch loop reading the
-// channel's framing instead of assuming mux frames.
+// attributable to a connection, connections opened from inside a
+// completion, and the dispatch loop reading the channel's framing instead
+// of assuming mux frames (and keeping no state for rejected frames).
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
@@ -177,6 +179,75 @@ TEST(MuxCorruptLossTest, TwoConnectionsLeaveWindowsAloneOnCorruptReplies) {
   EXPECT_EQ(rig.mux.stats().cwnd_decreases, 0u);
   EXPECT_EQ(rig.mux.conn_window(a), 2u);
   EXPECT_EQ(rig.mux.conn_window(b), 2u);
+}
+
+TEST(MuxReentryTest, CompletionMayOpenAConnectionAndSubmitOnIt) {
+  // Every completion on the two original connections opens a fresh
+  // connection and submits on it while other calls are still in flight,
+  // so the connection table grows under the engine's feet. Every call
+  // must still complete exactly once and execute exactly once.
+  MuxPolicy policy;
+  policy.per_conn_window = 2;
+  MuxRig rig{FaultPlan(), FaultPlan(), policy};
+  std::map<std::pair<uint32_t, uint32_t>, int> completions;
+  uint8_t body = 0x5A;
+  std::function<void(uint32_t, bool)> submit = [&](uint32_t conn,
+                                                   bool spawn) {
+    uint32_t xid = ++rig.submitted[conn];
+    rig.mux.Submit(conn, ByteSpan(&body, 1),
+                   [&, conn, xid, spawn](Status st, std::vector<uint8_t>) {
+                     EXPECT_TRUE(st.ok()) << st.ToString();
+                     ++completions[{conn, xid}];
+                     if (spawn) {
+                       submit(rig.mux.OpenConnection(), /*spawn=*/false);
+                     }
+                   });
+  };
+  uint32_t a = rig.mux.OpenConnection();
+  uint32_t b = rig.mux.OpenConnection();
+  constexpr int kPerConn = 40;  // several calls queue behind each window
+  for (int i = 0; i < kPerConn; ++i) {
+    submit(a, /*spawn=*/true);
+    submit(b, /*spawn=*/true);
+  }
+  ASSERT_TRUE(rig.mux.Drive().ok());
+  EXPECT_EQ(rig.mux.stats().conns_opened, 2u + 2 * kPerConn);
+  EXPECT_EQ(completions.size(), 4u * kPerConn);
+  for (const auto& [call, n] : completions) {
+    EXPECT_EQ(n, 1) << "conn " << call.first << " xid " << call.second;
+    EXPECT_EQ(rig.Runs(call.first, call.second), 1);
+  }
+}
+
+TEST(DispatchFramingTest, RejectedFramesOnUnopenedConnectionsKeepNoState) {
+  // Connection ids on a tagged channel come off the wire. Frames the
+  // handler rejects must not leave at-most-once state behind, or a stream
+  // of made-up ids grows server memory without bound.
+  VirtualClock clock;
+  EventQueue events(&clock);
+  DatagramChannel channel(LinkModel(), FaultPlan(), FaultPlan(), &clock);
+  channel.set_conn_tagging(true);
+  int attempts = 0;
+  ServerDispatch dispatch(
+      &channel,
+      [&attempts](ByteSpan, std::vector<uint8_t>*) {
+        ++attempts;
+        return InvalidArgumentError("rejected");
+      },
+      DispatchPolicy{}, &events);
+  constexpr uint32_t kFrames = 1000;
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    ByteWriter w;
+    w.WriteU32Be(1);             // xid
+    w.WriteU32Be(1'000'000 + i); // a connection nobody opened
+    w.WriteU32Be(0xBAD);         // body
+    channel.Send(DatagramChannel::Dir::kAtoB, w.span());
+    dispatch.Poke();
+    events.RunUntilIdle();
+  }
+  EXPECT_EQ(attempts, static_cast<int>(kFrames));
+  EXPECT_EQ(dispatch.stats().executions, 0u);
+  EXPECT_EQ(dispatch.endpoint().connections(), 0u);
 }
 
 TEST(DispatchFramingTest, UntaggedChannelKeysAtMostOnceByXidAlone) {

@@ -187,6 +187,45 @@ TEST(DatagramChannelTest, ChecksumCatchesCorruption) {
   EXPECT_EQ(ch.stats().delivered, 0u);
 }
 
+TEST(DatagramChannelTest, EveryCorruptibleOffsetIsCaughtInBothDirections) {
+  // The header is stored apart from the payload, so a flip may land in
+  // either. Send a small frame until the scripted salts have hit every
+  // wire offset in [8, 16 + len) — the length and checksum words and each
+  // payload byte — in each direction; every flip must be a counted
+  // kDataLoss.
+  constexpr size_t kPayloadSize = 6;
+  constexpr size_t kWireSize = 16 + kPayloadSize;
+  constexpr uint64_t kMaxFrames = 4096;
+  const uint8_t payload[kPayloadSize] = {1, 2, 3, 4, 5, 6};
+  for (auto dir :
+       {DatagramChannel::Dir::kAtoB, DatagramChannel::Dir::kBtoA}) {
+    FaultPlan a_to_b;
+    FaultPlan b_to_a;
+    FaultPlan replica;
+    (dir == DatagramChannel::Dir::kAtoB ? a_to_b : b_to_a)
+        .CorruptExactly(0, kMaxFrames - 1);
+    replica.CorruptExactly(0, kMaxFrames - 1);
+    VirtualClock clock;
+    DatagramChannel ch(LinkModel(), std::move(a_to_b), std::move(b_to_a),
+                       &clock);
+    std::set<size_t> hit;
+    uint64_t frames = 0;
+    while (hit.size() < kWireSize - 8 && frames < kMaxFrames) {
+      hit.insert(8 + replica.Next().corrupt_salt % (kWireSize - 8));
+      ch.Send(dir, ByteSpan(payload, kPayloadSize));
+      ++frames;
+      auto got = ch.Receive(dir);
+      ASSERT_FALSE(got.ok()) << "corrupted frame " << frames
+                             << " was delivered";
+      EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+    }
+    EXPECT_EQ(hit.size(), kWireSize - 8) << "salts never covered an offset";
+    EXPECT_EQ(ch.stats().corrupted, frames);
+    EXPECT_EQ(ch.stats().checksum_failures, frames);
+    EXPECT_EQ(ch.stats().delivered, 0u);
+  }
+}
+
 TEST(DatagramChannelTest, ExtraDelayChargedAtDelivery) {
   VirtualClock clock;
   FaultConfig config;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -356,6 +358,94 @@ TEST(EventQueueTest, CallbacksMayScheduleAndCancelReentrantly) {
   EXPECT_EQ(clock.now_nanos(), 300u);
 }
 
+TEST(EventQueueTest, StaleIdNeverCancelsTheSlotsNewOccupant) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  int ran = 0;
+  EventQueue::EventId first = q.ScheduleAt(10, [&] { ran += 1; });
+  ASSERT_TRUE(q.Cancel(first));
+  // The freed slot is reused by the next event; the old id must not
+  // reach it.
+  EventQueue::EventId second = q.ScheduleAt(20, [&] { ran += 10; });
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(q.Cancel(first));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.RunUntilIdle(), 1u);
+  EXPECT_EQ(ran, 10);
+  // After it ran, the same slot again holds a new event.
+  EventQueue::EventId third = q.ScheduleAt(30, [&] { ran += 100; });
+  EXPECT_FALSE(q.Cancel(second));
+  EXPECT_EQ(q.RunUntilIdle(), 1u);
+  EXPECT_EQ(ran, 110);
+  EXPECT_FALSE(q.Cancel(third));
+}
+
+TEST(EventQueueTest, InvalidAndOutOfRangeIdsDoNotCancel) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  int ran = 0;
+  EventQueue::EventId id = q.ScheduleAt(10, [&] { ++ran; });
+  EXPECT_FALSE(q.Cancel(EventQueue::kInvalidEvent));
+  EXPECT_FALSE(q.Cancel(id + 1));           // a slot never handed out
+  EXPECT_FALSE(q.Cancel(0xFFFFFFFFull));    // index far out of range
+  EXPECT_FALSE(q.Cancel(id + (1ull << 32)));  // right slot, wrong generation
+  EXPECT_EQ(q.pending(), 1u);
+  q.RunUntilIdle();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(EventQueueTest, RunsOversizedAndMoveOnlyCallbacks) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  std::array<uint64_t, 16> big{};  // 128 B: beyond the inline capacity
+  static_assert(sizeof(big) > EventCallback::kInlineSize);
+  big[15] = 7;
+  uint64_t seen_big = 0;
+  int seen_owned = 0;
+  q.ScheduleAt(10, [big, &seen_big] { seen_big = big[15]; });
+  auto owned = std::make_unique<int>(42);
+  q.ScheduleAt(20, [p = std::move(owned), &seen_owned] { seen_owned = *p; });
+  // An oversized callback that is cancelled is destroyed, not leaked.
+  q.Cancel(q.ScheduleAt(30, [big] { ADD_FAILURE() << big[0]; }));
+  EXPECT_EQ(q.RunUntilIdle(), 2u);
+  EXPECT_EQ(seen_big, 7u);
+  EXPECT_EQ(seen_owned, 42);
+}
+
+TEST(EventQueueTest, SlotGrowthInsideACallbackKeepsOrderAndPending) {
+  VirtualClock clock;
+  EventQueue q(&clock);
+  std::vector<int> order;
+  constexpr int kSpawned = 1000;
+  // One event that schedules enough events to reallocate the slot vector
+  // while it is running, cancelling every tenth one again.
+  q.ScheduleAt(100, [&] {
+    order.push_back(-1);
+    for (int i = 0; i < kSpawned; ++i) {
+      // Two events per deadline, so FIFO tie-breaks are exercised too.
+      EventQueue::EventId id =
+          q.ScheduleAt(200 + i / 2, [&order, i] { order.push_back(i); });
+      if (i % 10 == 9) {
+        EXPECT_TRUE(q.Cancel(id));
+      }
+    }
+    EXPECT_EQ(q.pending(), static_cast<size_t>(kSpawned - kSpawned / 10));
+  });
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_TRUE(q.RunNext());
+  EXPECT_EQ(q.pending(), static_cast<size_t>(kSpawned - kSpawned / 10));
+  q.RunUntilIdle();
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+  std::vector<int> want = {-1};
+  for (int i = 0; i < kSpawned; ++i) {
+    if (i % 10 != 9) {
+      want.push_back(i);
+    }
+  }
+  EXPECT_EQ(order, want);
+}
+
 TEST(ByteStreamTest, TakeBufferReleasesWithoutCopying) {
   ByteWriter w;
   w.WriteU32Be(0xDEADBEEF);
@@ -373,7 +463,8 @@ TEST(DatagramSendTest, FramingPerformsNoBufferCopy) {
   uint8_t payload[64] = {1, 2, 3};
   ch.Send(DatagramChannel::Dir::kAtoB, ByteSpan(payload, sizeof(payload)));
   ch.Send(DatagramChannel::Dir::kAtoB, ByteSpan(payload, sizeof(payload)));
-  // The framed bytes move straight from the writer onto the wire queue.
+  // The payload's one copy into the frame is not a frame copy; the frame
+  // itself moves onto the wire queue.
   EXPECT_EQ(session.Report().counter(TraceCounter::kNetFrameCopies), 0u);
 }
 
