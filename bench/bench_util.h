@@ -75,7 +75,7 @@ struct BenchResult {
 // The flextrace window opens when RunMicrobenchmarks() returns, so the
 // counters in the artifact cover exactly the paper-table phase — whose
 // iteration counts are fixed, making every counter value deterministic
-// and therefore exact-gateable in CI (tools/flextrace). The adaptive
+// and therefore exact-gateable in CI (`flexrpc_report check`). The adaptive
 // google-benchmark phase runs with tracing disabled and contributes
 // nothing.
 //

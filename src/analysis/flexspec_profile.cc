@@ -6,9 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
+#include "src/support/file.h"
 #include "src/support/json.h"
 #include "src/support/recorder.h"
 #include "src/support/strings.h"
@@ -16,16 +15,6 @@
 namespace flexrpc {
 
 namespace {
-
-Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError(StrFormat("cannot open %s", path.c_str()));
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 Result<uint64_t> ParseHash(const JsonValue& entry, const char* key) {
   const JsonValue* v = entry.Find(key);
@@ -40,12 +29,6 @@ Result<uint64_t> ParseHash(const JsonValue& entry, const char* key) {
         StrFormat("malformed %s value '%s'", key, v->string.c_str()));
   }
   return hash;
-}
-
-uint64_t UIntOf(const JsonValue& entry, const char* key) {
-  const JsonValue* v = entry.Find(key);
-  return v != nullptr && v->IsNumber() ? static_cast<uint64_t>(v->number)
-                                       : 0;
 }
 
 ProfiledPlan* FindOrAdd(MarshalProfile* profile, const SpecKey& key,
@@ -75,13 +58,19 @@ Status MergeBenchArtifact(const JsonValue& artifact,
     FLEXRPC_ASSIGN_OR_RETURN(uint64_t op_hash, ParseHash(entry, "op_hash"));
     FLEXRPC_ASSIGN_OR_RETURN(uint64_t pres_hash,
                              ParseHash(entry, "pres_hash"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t marshal_calls,
+                             RequireUInt(entry, "marshal_calls"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t unmarshal_calls,
+                             RequireUInt(entry, "unmarshal_calls"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t wire_bytes,
+                             RequireUInt(entry, "wire_bytes"));
     const JsonValue* op = entry.Find("op");
     SpecKey key{op_hash, pres_hash};
     ProfiledPlan* plan = FindOrAdd(
         profile, key, op != nullptr ? op->string : std::string());
-    plan->marshal_calls += UIntOf(entry, "marshal_calls");
-    plan->unmarshal_calls += UIntOf(entry, "unmarshal_calls");
-    plan->wire_bytes += UIntOf(entry, "wire_bytes");
+    plan->marshal_calls += marshal_calls;
+    plan->unmarshal_calls += unmarshal_calls;
+    plan->wire_bytes += wire_bytes;
   }
   return Status::Ok();
 }
@@ -94,16 +83,6 @@ Status MergeRecording(std::string_view json_text, MarshalProfile* profile) {
     }
   }
   return Status::Ok();
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
 }
 
 }  // namespace
@@ -155,8 +134,8 @@ Status LoadProfilePath(const std::string& path, MarshalProfile* profile) {
   std::vector<std::string> names;
   while (struct dirent* entry = ::readdir(dir)) {
     std::string_view name = entry->d_name;
-    if ((StartsWith(name, "BENCH_") || StartsWith(name, "REC_")) &&
-        EndsWith(name, ".json")) {
+    if ((StrStartsWith(name, "BENCH_") || StrStartsWith(name, "REC_")) &&
+        StrEndsWith(name, ".json")) {
       names.emplace_back(name);
     }
   }

@@ -176,6 +176,31 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
+std::optional<uint64_t> JsonValue::AsUInt(uint64_t max) const {
+  // Negated comparisons so NaN fails too; the double conversion of `max`
+  // is exact because max <= 2^53.
+  if (kind != Kind::kNumber || !(number >= 0) ||
+      !(number <= static_cast<double>(max)) ||
+      number != std::floor(number)) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(number);
+}
+
+Result<uint64_t> RequireUInt(const JsonValue& object, std::string_view key,
+                             uint64_t max) {
+  const JsonValue* v = object.Find(key);
+  std::optional<uint64_t> n =
+      v != nullptr ? v->AsUInt(max) : std::optional<uint64_t>();
+  if (!n) {
+    return InvalidArgumentError(
+        StrFormat("\"%.*s\" is missing or not an integer in [0, %llu]",
+                  static_cast<int>(key.size()), key.data(),
+                  static_cast<unsigned long long>(max)));
+  }
+  return *n;
+}
+
 namespace {
 
 class Parser {

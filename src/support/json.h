@@ -2,14 +2,16 @@
 //
 // The writer produces the BENCH_<name>.json artifacts (and TraceSession
 // snapshots); the parser reads them back in the budget gate
-// (tools/flextrace) and in tests. It intentionally covers only the JSON
-// subset the emitter produces — objects, arrays, strings, numbers,
-// booleans, null — with no streaming, comments, or NaN/Inf extensions.
+// (`flexrpc_report check`), the artifact loaders, and tests. It
+// intentionally covers only the JSON subset the emitter produces —
+// objects, arrays, strings, numbers, booleans, null — with no streaming,
+// comments, or NaN/Inf extensions.
 
 #ifndef FLEXRPC_SRC_SUPPORT_JSON_H_
 #define FLEXRPC_SRC_SUPPORT_JSON_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -57,6 +59,10 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
+// The largest integer a JSON number (parsed as a double) holds exactly.
+// Integers above it have already been rounded, so reading one is an error.
+inline constexpr uint64_t kJsonMaxUInt = uint64_t{1} << 53;
+
 // Parsed JSON tree.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
@@ -72,7 +78,16 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
   bool IsNumber() const { return kind == Kind::kNumber; }
   bool IsObject() const { return kind == Kind::kObject; }
+  // The checked integer read: the number as an unsigned integer, or
+  // nullopt when it is not a number, negative, fractional, or above `max`
+  // (which must not exceed kJsonMaxUInt).
+  std::optional<uint64_t> AsUInt(uint64_t max = kJsonMaxUInt) const;
 };
+
+// Object member `key` read through AsUInt(max); INVALID_ARGUMENT naming
+// the key when it is absent or out of range.
+Result<uint64_t> RequireUInt(const JsonValue& object, std::string_view key,
+                             uint64_t max = kJsonMaxUInt);
 
 // Parses a complete JSON document (trailing whitespace allowed).
 Result<JsonValue> ParseJson(std::string_view text);

@@ -255,19 +255,6 @@ std::string RecordingToJson(const Recording& recording,
   return w.str();
 }
 
-namespace {
-
-Result<uint64_t> RequireUInt(const JsonValue& object, const char* key) {
-  const JsonValue* v = object.Find(key);
-  if (v == nullptr || !v->IsNumber()) {
-    return InvalidArgumentError(
-        StrFormat("recording event missing numeric \"%s\"", key));
-  }
-  return static_cast<uint64_t>(v->number);
-}
-
-}  // namespace
-
 Result<Recording> ParseRecording(std::string_view json) {
   FLEXRPC_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(json));
   const JsonValue* schema = doc.Find("schema");
@@ -275,8 +262,7 @@ Result<Recording> ParseRecording(std::string_view json) {
     return InvalidArgumentError("not a flexrpc-rec-v1 recording");
   }
   Recording recording;
-  FLEXRPC_ASSIGN_OR_RETURN(uint64_t capacity, RequireUInt(doc, "capacity"));
-  recording.capacity = static_cast<size_t>(capacity);
+  FLEXRPC_ASSIGN_OR_RETURN(recording.capacity, RequireUInt(doc, "capacity"));
   FLEXRPC_ASSIGN_OR_RETURN(recording.total_events,
                            RequireUInt(doc, "total_events"));
   FLEXRPC_ASSIGN_OR_RETURN(recording.dropped_events,
@@ -317,20 +303,19 @@ Result<Recording> ParseRecording(std::string_view json) {
       return InvalidArgumentError(
           StrFormat("unknown endpoint \"%s\"", ep->string.c_str()));
     }
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t xid, RequireUInt(entry, "xid"));
-    e.xid = static_cast<uint32_t>(xid);
-    if (const JsonValue* r = entry.Find("r"); r != nullptr && r->IsNumber()) {
-      e.replica = static_cast<uint32_t>(r->number);
+    FLEXRPC_ASSIGN_OR_RETURN(e.xid, RequireUInt(entry, "xid", UINT32_MAX));
+    // "r", "c" and "wt" are written only when set; absent reads as 0.
+    if (entry.Find("r") != nullptr) {
+      FLEXRPC_ASSIGN_OR_RETURN(e.replica, RequireUInt(entry, "r", UINT32_MAX));
     }
-    if (const JsonValue* c = entry.Find("c"); c != nullptr && c->IsNumber()) {
-      e.conn = static_cast<uint32_t>(c->number);
+    if (entry.Find("c") != nullptr) {
+      FLEXRPC_ASSIGN_OR_RETURN(e.conn, RequireUInt(entry, "c", UINT32_MAX));
     }
     FLEXRPC_ASSIGN_OR_RETURN(e.virtual_nanos, RequireUInt(entry, "vt"));
     FLEXRPC_ASSIGN_OR_RETURN(e.a, RequireUInt(entry, "a"));
     FLEXRPC_ASSIGN_OR_RETURN(e.b, RequireUInt(entry, "b"));
-    if (const JsonValue* wt = entry.Find("wt");
-        wt != nullptr && wt->IsNumber()) {
-      e.wall_nanos = static_cast<uint64_t>(wt->number);
+    if (entry.Find("wt") != nullptr) {
+      FLEXRPC_ASSIGN_OR_RETURN(e.wall_nanos, RequireUInt(entry, "wt"));
     }
     recording.events.push_back(e);
   }

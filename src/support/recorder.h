@@ -29,7 +29,7 @@
 //   * ExportChromeTrace — Chrome trace_event-format JSON, loadable in
 //     Perfetto / chrome://tracing: one track per endpoint, spans from
 //     begin/end event pairs, instant events for faults and retransmits.
-//   * tools/flextrace/flexrec_report (via src/analysis/flexrec.h) — a
+//   * `flexrpc_report calls` (via src/analysis/flexrec.h) — a
 //     deterministic per-call latency breakdown, retransmit cause
 //     classification, and window-occupancy timeline.
 
@@ -263,9 +263,10 @@ class RecorderSession {
 std::string RecordingToJson(const Recording& recording,
                             bool include_wall_nanos = false);
 
-// Parses a RecordingToJson document back (the flexrec_report CLI reads
+// Parses a RecordingToJson document back (`flexrpc_report calls` reads
 // recordings from disk). Unknown event/endpoint names are an error — the
-// catalog is closed.
+// catalog is closed — and so is an integer field that is negative,
+// fractional, above 2^53, or above UINT32_MAX for xid, "r" and "c".
 Result<Recording> ParseRecording(std::string_view json);
 
 // Exports a recording as Chrome trace_event-format JSON (the "JSON Array

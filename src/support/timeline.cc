@@ -227,6 +227,14 @@ Timeline TimelineSampler::Stop() {
     if (events_->clock()->now_nanos() > sampled_through_nanos_) {
       SampleWindow();  // flush the final partial window
     }
+    // An observation stamped exactly on the last tick's boundary opens a
+    // window no tick closed. Close it too, so every sketch window has a
+    // sample in every series.
+    for (const auto& [key, sketch] : timeline_.sketches) {
+      while (key.window >= timeline_.ticks) {
+        SampleWindow();
+      }
+    }
     watch_internal::g_sampler.store(nullptr, std::memory_order_relaxed);
     running_ = false;
   }
@@ -334,17 +342,9 @@ std::string TimelineToJson(const Timeline& timeline) {
 
 namespace {
 
-Result<uint64_t> ReadUInt(const JsonValue& object, std::string_view key) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || !value->IsNumber()) {
-    return InvalidArgumentError(StrFormat(
-        "timeline: missing numeric field \"%s\"", std::string(key).c_str()));
-  }
-  return static_cast<uint64_t>(value->number);
-}
-
+// Every series carries one sample per window, so `ticks` samples.
 Result<std::vector<Timeline::Series>> ParseSeriesArray(
-    const JsonValue& root, std::string_view key) {
+    const JsonValue& root, std::string_view key, uint64_t ticks) {
   const JsonValue* array = root.Find(key);
   if (array == nullptr || array->kind != JsonValue::Kind::kArray) {
     return InvalidArgumentError(StrFormat(
@@ -363,11 +363,18 @@ Result<std::vector<Timeline::Series>> ParseSeriesArray(
     }
     Timeline::Series series;
     series.name = name->string;
+    if (samples->array.size() != ticks) {
+      return InvalidArgumentError(StrFormat(
+          "timeline: series \"%s\" has %zu samples for %llu ticks",
+          name->string.c_str(), samples->array.size(),
+          static_cast<unsigned long long>(ticks)));
+    }
     for (const JsonValue& sample : samples->array) {
-      if (!sample.IsNumber()) {
-        return InvalidArgumentError("timeline: non-numeric sample");
+      std::optional<uint64_t> value = sample.AsUInt();
+      if (!value) {
+        return InvalidArgumentError("timeline: malformed sample");
       }
-      series.samples.push_back(static_cast<uint64_t>(sample.number));
+      series.samples.push_back(*value);
     }
     out.push_back(std::move(series));
   }
@@ -386,14 +393,16 @@ Result<Timeline> ParseTimeline(std::string_view json) {
     return InvalidArgumentError("timeline: missing or unknown schema");
   }
   Timeline timeline;
-  FLEXRPC_ASSIGN_OR_RETURN(timeline.tick_nanos, ReadUInt(root, "tick_nanos"));
+  FLEXRPC_ASSIGN_OR_RETURN(timeline.tick_nanos,
+                           RequireUInt(root, "tick_nanos"));
   FLEXRPC_ASSIGN_OR_RETURN(timeline.start_nanos,
-                           ReadUInt(root, "start_nanos"));
-  FLEXRPC_ASSIGN_OR_RETURN(timeline.end_nanos, ReadUInt(root, "end_nanos"));
-  FLEXRPC_ASSIGN_OR_RETURN(timeline.ticks, ReadUInt(root, "ticks"));
+                           RequireUInt(root, "start_nanos"));
+  FLEXRPC_ASSIGN_OR_RETURN(timeline.end_nanos, RequireUInt(root, "end_nanos"));
+  FLEXRPC_ASSIGN_OR_RETURN(timeline.ticks, RequireUInt(root, "ticks"));
   FLEXRPC_ASSIGN_OR_RETURN(timeline.counters,
-                           ParseSeriesArray(root, "counters"));
-  FLEXRPC_ASSIGN_OR_RETURN(timeline.gauges, ParseSeriesArray(root, "gauges"));
+                           ParseSeriesArray(root, "counters", timeline.ticks));
+  FLEXRPC_ASSIGN_OR_RETURN(timeline.gauges,
+                           ParseSeriesArray(root, "gauges", timeline.ticks));
 
   const JsonValue* sketches = root.Find("sketches");
   if (sketches == nullptr || sketches->kind != JsonValue::Kind::kArray) {
@@ -412,25 +421,31 @@ Result<Timeline> ParseTimeline(std::string_view json) {
                              WatchSeriesFromName(series_name->string));
     Timeline::SketchKey key;
     key.series = static_cast<uint16_t>(series);
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t dim, ReadUInt(entry, "dim"));
-    key.dim = static_cast<uint32_t>(dim);
-    FLEXRPC_ASSIGN_OR_RETURN(key.window, ReadUInt(entry, "window"));
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t count, ReadUInt(entry, "count"));
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t sum, ReadUInt(entry, "sum"));
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t min, ReadUInt(entry, "min"));
-    FLEXRPC_ASSIGN_OR_RETURN(uint64_t max, ReadUInt(entry, "max"));
+    FLEXRPC_ASSIGN_OR_RETURN(key.dim, RequireUInt(entry, "dim", UINT32_MAX));
+    FLEXRPC_ASSIGN_OR_RETURN(key.window, RequireUInt(entry, "window"));
+    if (key.window >= timeline.ticks) {
+      return InvalidArgumentError("timeline: sketch window past the last tick");
+    }
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t count, RequireUInt(entry, "count"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t sum, RequireUInt(entry, "sum"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t min, RequireUInt(entry, "min"));
+    FLEXRPC_ASSIGN_OR_RETURN(uint64_t max, RequireUInt(entry, "max"));
     const JsonValue* buckets = entry.Find("buckets");
     if (buckets == nullptr || buckets->kind != JsonValue::Kind::kArray) {
       return InvalidArgumentError("timeline: sketch without buckets");
     }
     std::map<uint32_t, uint64_t> cells;
     for (const JsonValue& pair : buckets->array) {
-      if (pair.kind != JsonValue::Kind::kArray || pair.array.size() != 2 ||
-          !pair.array[0].IsNumber() || !pair.array[1].IsNumber()) {
+      std::optional<uint64_t> bucket;
+      std::optional<uint64_t> cell;
+      if (pair.kind == JsonValue::Kind::kArray && pair.array.size() == 2) {
+        bucket = pair.array[0].AsUInt(QuantileSketch::BucketOf(UINT64_MAX));
+        cell = pair.array[1].AsUInt();
+      }
+      if (!bucket || !cell) {
         return InvalidArgumentError("timeline: malformed sketch bucket");
       }
-      cells[static_cast<uint32_t>(pair.array[0].number)] =
-          static_cast<uint64_t>(pair.array[1].number);
+      cells[static_cast<uint32_t>(*bucket)] = *cell;
     }
     timeline.sketches[key] =
         QuantileSketch::FromParts(count, sum, min, max, std::move(cells));

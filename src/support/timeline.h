@@ -147,8 +147,11 @@ struct Timeline {
 // fields only; two identical timelines produce byte-identical text.
 std::string TimelineToJson(const Timeline& timeline);
 
-// Parses a serialized timeline back (flexwatch_report, the --timeline
-// budget gate, and diff tooling).
+// Parses a serialized timeline back (`flexrpc_report timeline` and the
+// timeline budget gate). Rejects what the writer never emits: integers
+// that are negative, fractional, above 2^53, or above UINT32_MAX for dim
+// and bucket fields; a series whose sample count is not `ticks`; a sketch
+// window at or past `ticks`; a bucket index no value maps to.
 Result<Timeline> ParseTimeline(std::string_view json);
 
 class TimelineSampler;

@@ -14,7 +14,7 @@
 //   2. Exact and deterministic when enabled. Counters count operations the
 //      simulation performs, so two runs of the same fixed-iteration
 //      workload produce identical values — which is what lets CI gate on
-//      them with equality-tight budgets (tools/flextrace).
+//      them with equality-tight budgets (`flexrpc_report check`).
 //   3. Thread-safe. Counters and histogram buckets are relaxed atomics, so
 //      the TSan suite (tools/ci.sh, FLEXRPC_SANITIZE=thread) stays clean
 //      even when multiple tasks trace concurrently.

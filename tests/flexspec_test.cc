@@ -723,6 +723,18 @@ TEST(FlexspecProfileTest, RecordingsLandInUnattributedBucket) {
   EXPECT_EQ(profile.unattributed_recording_spans, 1u);
 }
 
+TEST(FlexspecProfileTest, RejectsMalformedCounts) {
+  for (const char* bad : {"-1", "2.5", "1e30"}) {
+    std::string artifact = kBenchArtifact;
+    const std::string field = "\"marshal_calls\": 100";
+    artifact.replace(artifact.find(field), field.size(),
+                     std::string("\"marshal_calls\": ") + bad);
+    MarshalProfile profile;
+    EXPECT_FALSE(MergeProfileArtifact(artifact, &profile).ok()) << bad;
+    EXPECT_TRUE(profile.plans.empty()) << bad;
+  }
+}
+
 TEST(FlexspecProfileTest, RejectsUnknownSchemaAndMissingPath) {
   MarshalProfile profile;
   EXPECT_FALSE(

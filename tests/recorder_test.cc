@@ -182,6 +182,34 @@ TEST(RecorderTest, ParseRejectsUnknownEventName) {
   EXPECT_FALSE(ParseRecording(json).ok());
 }
 
+// Integer fields go through the checked JSON read: a negative, fractional
+// or oversized value is an error, not an undefined double-to-integer cast
+// ("capacity": -1 used to come back as SIZE_MAX).
+TEST(RecorderTest, ParseRejectsOutOfRangeIntegers) {
+  Recording rec = SmallRecording();
+  rec.events[1].replica = 1;
+  rec.events[1].conn = 2;
+  const std::string json = RecordingToJson(rec, /*include_wall_nanos=*/true);
+  ASSERT_TRUE(ParseRecording(json).ok());
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"capacity\": 16", "\"capacity\": -1"},
+      {"\"capacity\": 16", "\"capacity\": 16.5"},
+      {"\"total_events\": 3", "\"total_events\": 1e30"},
+      {"\"xid\": 9", "\"xid\": 4294967296"},
+      {"\"r\": 1", "\"r\": -1"},
+      {"\"c\": 2", "\"c\": 4294967296"},
+      {"\"vt\": 100", "\"vt\": 18446744073709551615"},
+      {"\"wt\": 123456", "\"wt\": -3"},
+  };
+  for (const auto& [field, bad] : cases) {
+    std::string mutated = json;
+    size_t pos = mutated.find(field);
+    ASSERT_NE(pos, std::string::npos) << field;
+    mutated.replace(pos, std::string_view(field).size(), bad);
+    EXPECT_FALSE(ParseRecording(mutated).ok()) << bad;
+  }
+}
+
 // --- a real seeded lossy pipelined NFS run ------------------------------
 //
 // The acceptance workload: window-8 pipelined read over a drop/dup/reorder

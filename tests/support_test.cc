@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "src/support/bytes.h"
 #include "src/support/diag.h"
 #include "src/support/event_queue.h"
+#include "src/support/file.h"
 #include "src/support/json.h"
 #include "src/support/rng.h"
 #include "src/support/status.h"
@@ -561,6 +564,58 @@ TEST(JsonTest, RawNumberEmitsLiteralVerbatim) {
   auto parsed = ParseJson(w.str());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->Find("plain")->number, 42.0);
+}
+
+// The checked integer read every artifact loader uses: a cast from any
+// other double is undefined behaviour (UBSan float-cast-overflow) or a
+// silently truncated or wrapped value.
+TEST(JsonTest, AsUIntAcceptsOnlyExactUnsignedIntegers) {
+  auto as_uint = [](const char* literal, uint64_t max = kJsonMaxUInt) {
+    auto parsed = ParseJson(literal);
+    EXPECT_TRUE(parsed.ok()) << literal;
+    return parsed->AsUInt(max);
+  };
+  EXPECT_EQ(as_uint("0"), 0u);
+  EXPECT_EQ(as_uint("42"), 42u);
+  EXPECT_EQ(as_uint("9007199254740992"), kJsonMaxUInt);
+  EXPECT_EQ(as_uint("4294967295", UINT32_MAX), UINT32_MAX);
+  EXPECT_FALSE(as_uint("-1"));
+  EXPECT_FALSE(as_uint("3.9"));
+  EXPECT_FALSE(as_uint("1e30"));
+  EXPECT_FALSE(as_uint("1e999"));  // strtod: infinity
+  EXPECT_FALSE(as_uint("9007199254740994"));
+  EXPECT_FALSE(as_uint("4294967296", UINT32_MAX));
+  EXPECT_FALSE(as_uint("\"7\""));
+  EXPECT_FALSE(as_uint("[7]"));
+}
+
+TEST(JsonTest, RequireUIntNamesTheMissingOrMalformedKey) {
+  auto doc = ParseJson(R"({"n": 7, "neg": -2})");
+  ASSERT_TRUE(doc.ok());
+  auto n = RequireUInt(*doc, "n");
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 7u);
+  EXPECT_FALSE(RequireUInt(*doc, "n", 6).ok());
+  for (const char* key : {"neg", "absent"}) {
+    auto bad = RequireUInt(*doc, key);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad.status().message().find(key), std::string::npos);
+  }
+}
+
+TEST(FileTest, ReadFileToStringReturnsBytesOrNotFound) {
+  std::string path = ::testing::TempDir() + "/flexrpc_file_test.bin";
+  const std::string bytes("a\0b\nc", 5);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  auto read = ReadFileToString(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, bytes);
+  std::remove(path.c_str());
+  EXPECT_EQ(ReadFileToString(path).status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

@@ -8,9 +8,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/support/event_queue.h"
+#include "src/support/json.h"
 #include "src/support/timeline.h"
 #include "src/support/timing.h"
 #include "src/support/trace.h"
@@ -255,6 +258,30 @@ TEST(TimelineSamplerTest, ObservationsLandInTheirWindow) {
   EXPECT_EQ(t.sketches.at(k2).sum(), 333u);
 }
 
+// An observation stamped exactly on the last tick's boundary, with nothing
+// left to run after it, lands in a window no tick closed. Stop() closes it,
+// so the artifact parses: every sketch window has a sample in every series.
+TEST(TimelineSamplerTest, ObservationOnTheFinalTickBoundaryGetsItsWindow) {
+  VirtualClock clock;
+  EventQueue events(&clock);
+  TimelineSampler sampler(&events, 1000);
+  sampler.AddCounter("n", []() { return uint64_t{0}; });
+  // Scheduled before Start(), so it runs before the tick at t=1000.
+  events.ScheduleAt(1000, []() {
+    WatchObserve(WatchSeries::kCallLatency, 0, 5);
+  });
+  sampler.Start();
+  while (events.RunNext()) {
+  }
+  Timeline t = sampler.Stop();
+
+  EXPECT_EQ(t.ticks, 2u);
+  ASSERT_EQ(t.counters.size(), 1u);
+  EXPECT_EQ(t.counters[0].samples.size(), 2u);
+  auto parsed = ParseTimeline(TimelineToJson(t));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+}
+
 TEST(TimelineSamplerTest, ObserveWithNoSamplerIsANoOp) {
   WatchObserve(WatchSeries::kCallLatency, 1, 999);  // must not crash
 }
@@ -331,6 +358,72 @@ TEST(TimelineJsonTest, RoundTripIsByteIdentical) {
 TEST(TimelineJsonTest, ParseRejectsWrongSchema) {
   EXPECT_FALSE(ParseTimeline("{\"schema\":\"flexrpc-rec-v1\"}").ok());
   EXPECT_FALSE(ParseTimeline("not json").ok());
+}
+
+// Two windows, one counter and one gauge series, one sketch in window 1.
+std::string SmallTimelineJson() {
+  Timeline t;
+  t.tick_nanos = 1000;
+  t.end_nanos = 2000;
+  t.ticks = 2;
+  t.counters.push_back({"n", {3, 4}});
+  t.gauges.push_back({"g", {1, 0}});
+  QuantileSketch sketch;
+  sketch.Record(7);
+  Timeline::SketchKey key;
+  key.series = static_cast<uint16_t>(WatchSeries::kCallLatency);
+  key.dim = 5;
+  key.window = 1;
+  t.sketches[key] = sketch;
+  return TimelineToJson(t);
+}
+
+// Crafted timelines the writer never emits. Each used to parse into a
+// value that crashed `flexrpc_report timeline`: "ticks": -1 wrapped to
+// UINT64_MAX (std::length_error sizing the per-window vectors), 1e12
+// threw std::bad_alloc, and the casts themselves were undefined.
+TEST(TimelineJsonTest, ParseRejectsMalformedIntegersAndShapes) {
+  const std::string json = SmallTimelineJson();
+  ASSERT_TRUE(ParseTimeline(json).ok());
+  const std::pair<const char*, const char*> cases[] = {
+      {"\"ticks\": 2", "\"ticks\": -1"},
+      {"\"ticks\": 2", "\"ticks\": 1e12"},
+      {"\"ticks\": 2", "\"ticks\": 3"},  // series hold 2 samples
+      {"\"ticks\": 2", "\"ticks\": 2.5"},
+      {"\"tick_nanos\": 1000", "\"tick_nanos\": 1e300"},
+      {"\"window\": 1", "\"window\": 2"},  // past the last tick
+      {"\"dim\": 5", "\"dim\": 4294967296"},
+      {"\"count\": 1", "\"count\": -1"},
+  };
+  for (const auto& [field, bad] : cases) {
+    std::string mutated = json;
+    size_t pos = mutated.find(field);
+    ASSERT_NE(pos, std::string::npos) << field;
+    mutated.replace(pos, std::string_view(field).size(), bad);
+    EXPECT_FALSE(ParseTimeline(mutated).ok()) << bad;
+  }
+}
+
+TEST(TimelineJsonTest, ParseRejectsSamplesAndBucketsOutOfRange) {
+  Timeline t;
+  t.ticks = 1;
+  t.counters.push_back({"n", {kJsonMaxUInt + 2}});
+  EXPECT_FALSE(ParseTimeline(TimelineToJson(t)).ok());
+
+  // No value maps to a bucket past BucketOf(UINT64_MAX).
+  for (uint32_t bucket : {QuantileSketch::BucketOf(UINT64_MAX) + 1,
+                          UINT32_MAX}) {
+    Timeline s;
+    s.ticks = 1;
+    s.sketches[Timeline::SketchKey{}] =
+        QuantileSketch::FromParts(1, 1, 1, 1, {{bucket, 1}});
+    EXPECT_FALSE(ParseTimeline(TimelineToJson(s)).ok()) << bucket;
+  }
+  Timeline ok;
+  ok.ticks = 1;
+  ok.sketches[Timeline::SketchKey{}] = QuantileSketch::FromParts(
+      1, 1, 1, 1, {{QuantileSketch::BucketOf(UINT64_MAX), 1}});
+  EXPECT_TRUE(ParseTimeline(TimelineToJson(ok)).ok());
 }
 
 TEST(TimelineJsonTest, SeriesNamesRoundTrip) {

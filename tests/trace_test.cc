@@ -157,8 +157,8 @@ TEST_F(TraceTest, SpanFeedsHistogramOnlyWhenEnabled) {
 
 // Golden serialization of a small, fully-controlled snapshot. The shape
 // (every counter present incl. zeros, zero-count histograms elided,
-// sparse [bucket, count] pairs) is what flextrace_check and the bench
-// artifacts rely on.
+// sparse [bucket, count] pairs) is what `flexrpc_report check` and the
+// bench artifacts rely on.
 TEST_F(TraceTest, JsonGolden) {
   SetTraceEnabled(true);
   TraceSnapshot base = CaptureTrace();

@@ -67,13 +67,13 @@ fi
 
 if [ -n "$CHECK" ]; then
   echo "== budget gate =="
-  "$BUILD"/tools/flextrace/flextrace_check \
+  "$BUILD"/tools/report/flexrpc_report check \
     --budgets=bench/budgets/smoke.json "--dir=$OUT"
   # The timeline gate needs the TIMELINE_*.json artifacts, which only the
-  # --record benches emit.
+  # --record benches emit. The budget file's schema selects the gate.
   if [ -n "$RECORD" ]; then
     echo "== timeline gate =="
-    "$BUILD"/tools/flextrace/flextrace_check --timeline \
+    "$BUILD"/tools/report/flexrpc_report check \
       --budgets=bench/budgets/timeline.json "--dir=$OUT"
   fi
 fi

@@ -1,12 +1,17 @@
 #!/bin/sh
 # CI entry point: style check, plain build + tests, then an ASan+UBSan
-# build + tests. Also lints the example IDL/PDL with flexcheck.
+# build + tests (UBSan including float-cast-overflow). Also lints the
+# example IDL/PDL with flexcheck.
 #
 #   tools/ci.sh                          # everything
 #   SKIP_SAN=1 tools/ci.sh               # plain build only (fast local loop)
 #   FLEXRPC_SANITIZE=thread tools/ci.sh  # + a TSan build + tests (flextrace
 #                                        #   counters are relaxed atomics;
 #                                        #   this suite keeps them honest)
+#
+# The report tool runs inside ctest (label bench-smoke): recorded smoke
+# reps of the pipelined and fleet benches, rendered by `flexrpc_report
+# calls` and `timeline`, and gated against bench/budgets/timeline.json.
 #   JOBS=4 tools/ci.sh                   # cap build/test parallelism
 set -eu
 
@@ -41,17 +46,6 @@ echo "== flexcheck on the examples =="
 ./build/tools/idlc/idlc --idl examples/idl/syslog.idl \
   --client-pdl examples/idl/syslog_client.pdl \
   --lint --Werror --check
-
-echo "== flexrec smoke check =="
-# One recorded smoke rep of the pipelined bench, then render its report —
-# proves the recorder, the serializer, and the attribution pipeline work
-# end to end on every CI run.
-rec_dir=build/flexrec-smoke
-mkdir -p "$rec_dir"
-./build/bench/bench_pipeline_nfs --smoke --record "--json_dir=$rec_dir" \
-  > /dev/null
-./build/tools/flextrace/flexrec_report "$rec_dir/REC_pipeline_nfs.json" \
-  --limit=8
 
 if [ "${SKIP_SAN:-}" != 1 ]; then
   echo "== ASan+UBSan build + tests =="

@@ -29,7 +29,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,6 +44,7 @@
 #include "src/marshal/engine.h"
 #include "src/pdl/apply.h"
 #include "src/sig/signature.h"
+#include "src/support/file.h"
 #include "src/support/strings.h"
 
 namespace {
@@ -77,17 +77,6 @@ int Usage(const char* argv0) {
       "[--spec-top K]\n",
       argv0);
   return 2;
-}
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 std::string BasenameOf(const std::string& path) {
@@ -186,16 +175,16 @@ int main(int argc, char** argv) {
     opt.basename = BasenameOf(opt.idl_path);
   }
 
-  std::string idl_text;
-  if (!ReadFileToString(opt.idl_path, &idl_text)) {
+  auto idl_text = flexrpc::ReadFileToString(opt.idl_path);
+  if (!idl_text.ok()) {
     std::fprintf(stderr, "idlc: cannot read '%s'\n", opt.idl_path.c_str());
     return 1;
   }
 
   flexrpc::DiagnosticSink diags;
   auto idl = opt.sun
-                 ? flexrpc::ParseSunRpc(idl_text, opt.idl_path, &diags)
-                 : flexrpc::ParseCorbaIdl(idl_text, opt.idl_path, &diags);
+                 ? flexrpc::ParseSunRpc(*idl_text, opt.idl_path, &diags)
+                 : flexrpc::ParseCorbaIdl(*idl_text, opt.idl_path, &diags);
   if (idl == nullptr || !flexrpc::AnalyzeInterfaceFile(idl.get(), &diags)) {
     std::fputs(diags.ToString().c_str(), stderr);
     return 1;
@@ -206,12 +195,12 @@ int main(int argc, char** argv) {
     if (pdl_path.empty()) {
       return flexrpc::ApplyPdl(*idl, side, nullptr, out, &diags);
     }
-    std::string pdl_text;
-    if (!ReadFileToString(pdl_path, &pdl_text)) {
+    auto pdl_text = flexrpc::ReadFileToString(pdl_path);
+    if (!pdl_text.ok()) {
       std::fprintf(stderr, "idlc: cannot read '%s'\n", pdl_path.c_str());
       return false;
     }
-    return flexrpc::ApplyPdlText(*idl, side, pdl_text, pdl_path, out,
+    return flexrpc::ApplyPdlText(*idl, side, *pdl_text, pdl_path, out,
                                  &diags);
   };
 
