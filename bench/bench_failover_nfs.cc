@@ -119,7 +119,7 @@ RunResult RunManaged(uint64_t seed, size_t file_size, uint64_t kill_packet) {
   };
   BinderTransport binder(&group, std::move(binder_policy));
 
-  auto stats = client.ReadFileManaged(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &binder, kChunkBytes);
   if (!stats.ok()) {
     std::fprintf(stderr, "managed NFS read failed: %s\n",

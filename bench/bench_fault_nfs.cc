@@ -91,7 +91,7 @@ ScenarioResult RunScenario(const FaultConfig& base, size_t file_size) {
   policy.retry.deadline_nanos = 60'000'000'000;
   PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
                                RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   if (!stats.ok()) {
     std::fprintf(stderr, "lossy NFS read failed: %s\n",

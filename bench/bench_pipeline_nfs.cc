@@ -64,7 +64,7 @@ RunResult RunPipelined(uint32_t window, size_t chunk_bytes, size_t file_size,
   EventQueue events(&clock);
   PipelinePolicy policy;
   policy.window = window;
-  // ReadFilePipelined submits every chunk up front and the deadline is
+  // ReadFile submits every chunk up front and the deadline is
   // armed at submission (queued time counts), so a serial lossy run over
   // thousands of chunks needs a deadline covering the whole backlog.
   policy.retry.deadline_nanos = 60'000'000'000;
@@ -83,7 +83,7 @@ RunResult RunPipelined(uint32_t window, size_t chunk_bytes, size_t file_size,
   }
   PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
                                RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport, chunk_bytes);
   if (!stats.ok()) {
     std::fprintf(stderr, "pipelined NFS read failed: %s\n",

@@ -346,100 +346,87 @@ Result<uint32_t> NfsClient::DecodeReply(StubKind kind,
   return InternalError("unknown stub kind");
 }
 
-Result<NfsClient::ReadStats> NfsClient::ReadFile(StubKind kind,
-                                                 size_t chunk_bytes) {
-  ReadStats stats;
-  VirtualClock vclock;
-  if (chunk_bytes == 0 || chunk_bytes > kNfsMaxData) {
-    chunk_bytes = kNfsMaxData;
-  }
-  size_t file_size = server_->file_size();
-  auto* user_buffer =
-      static_cast<uint8_t*>(user_space_->Allocate(file_size));
-  uint8_t fh[kNfsFhSize];
-  std::memset(fh, 0xFD, sizeof(fh));
+namespace {
 
-  double client_seconds = 0;
-  for (size_t offset = 0; offset < file_size; offset += chunk_bytes) {
-    uint32_t count = static_cast<uint32_t>(
-        file_size - offset < chunk_bytes ? file_size - offset
-                                         : chunk_bytes);
-    ChunkArgs chunk{fh, static_cast<uint32_t>(offset), count,
-                    user_buffer + offset};
-    uint32_t xid = next_xid_++;
-    // Attribute this chunk's marshal work to its xid (flight recorder).
-    RecorderCallScope rec_scope(xid, &vclock);
-
-    // --- client-side marshal (measured) ---
-    XdrWriter request;
-    Stopwatch encode_timer;
-    EncodeSunRpcCall(&request,
-                     SunRpcCall{xid, kNfsProgram, kNfsVersion,
-                                kNfsProcRead});
-    FLEXRPC_ASSIGN_OR_RETURN(uint32_t unused,
-                             EncodeRequest(kind, chunk, &request));
-    (void)unused;
-    client_seconds += encode_timer.ElapsedSeconds();
-
-    // --- network + remote server (modeled) ---
-    link_.Transfer(request.size(), &vclock);
-    remote_.Process(count, &vclock);
-    XdrWriter reply;
-    FLEXRPC_RETURN_IF_ERROR(server_->Handle(request.span(), &reply));
-    link_.Transfer(reply.size(), &vclock);
-
-    // --- client-side unmarshal + delivery (measured) ---
-    Stopwatch decode_timer;
-    XdrReader reader(reply.span());
-    FLEXRPC_RETURN_IF_ERROR(DecodeSunRpcReplySuccess(&reader, xid));
-    FLEXRPC_ASSIGN_OR_RETURN(uint32_t delivered,
-                             DecodeReply(kind, chunk, &reader));
-    client_seconds += decode_timer.ElapsedSeconds();
-
-    if (delivered != count) {
-      return DataLossError(
-          StrFormat("short read: wanted %u, got %u", count, delivered));
-    }
-    stats.bytes_read += delivered;
-    ++stats.rpc_calls;
-  }
-
-  // Verification (not timed): the user buffer must hold the file bytes.
-  if (std::memcmp(user_buffer, server_->content(), file_size) != 0) {
-    return DataLossError("file contents corrupted in transit");
-  }
-  user_space_->Free(user_buffer);
-  stats.client_seconds = client_seconds;
-  stats.network_server_seconds = vclock.now_seconds();
-  return stats;
+size_t ClampChunk(size_t chunk_bytes) {
+  return chunk_bytes == 0 || chunk_bytes > kNfsMaxData ? kNfsMaxData
+                                                       : chunk_bytes;
 }
 
-Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
-    StubKind kind, PipelinedTransport* rpc, size_t chunk_bytes) {
-  ReadStats stats;
-  if (chunk_bytes == 0 || chunk_bytes > kNfsMaxData) {
-    chunk_bytes = kNfsMaxData;
+// Transport-level activity a read reports as a delta.
+struct TransportCounters {
+  uint64_t retransmits = 0;
+  uint64_t dup_cache_hits = 0;
+  uint64_t dup_cache_misses = 0;
+};
+
+TransportCounters Counters(PipelinedTransport* rpc) {
+  const PipelinedTransport::Stats s = rpc->stats();
+  return {s.retransmits, s.dup_cache_hits, s.dup_cache_misses};
+}
+
+// A managed binding is one logical endpoint, so its counters are summed
+// across the group's replicas.
+TransportCounters Counters(BinderTransport* rpc) {
+  TransportCounters sum;
+  for (size_t i = 0; i < rpc->group()->size(); ++i) {
+    const TransportCounters c = Counters(rpc->group()->transport(i));
+    sum.retransmits += c.retransmits;
+    sum.dup_cache_hits += c.dup_cache_hits;
+    sum.dup_cache_misses += c.dup_cache_misses;
   }
+  return sum;
+}
+
+// An upper bound on the virtual time of a whole serial read on the
+// lossless Fig. 2 rig: per call, both wire legs and the server, each
+// datagram sized as a full chunk plus 256 B (more than the SunRPC, NFS
+// and frame headers together), then doubled.
+uint64_t SerialReadBoundNanos(const LinkModel& link,
+                              const RemoteServerModel& remote,
+                              size_t file_size, size_t chunk_bytes) {
+  const uint64_t datagram = chunk_bytes + 256;
+  const uint64_t per_call =
+      2 * (link.OccupancyNanos(datagram) + link.LatencyNanos(datagram)) +
+      remote.ProcessNanos(datagram);
+  const uint64_t calls = (file_size + chunk_bytes - 1) / chunk_bytes;
+  return 2 * calls * per_call;
+}
+
+}  // namespace
+
+template <typename Transport>
+Result<NfsClient::ReadStats> NfsClient::ReadChunks(StubKind kind,
+                                                   Transport* rpc,
+                                                   size_t chunk_bytes) {
+  chunk_bytes = ClampChunk(chunk_bytes);
   const uint64_t clock_start = rpc->clock()->now_nanos();
-  const PipelinedTransport::Stats rpc_start = rpc->stats();
-  size_t file_size = server_->file_size();
+  const TransportCounters start = Counters(rpc);
+  const size_t file_size = server_->file_size();
   auto* user_buffer =
       static_cast<uint8_t*>(user_space_->Allocate(file_size));
   uint8_t fh[kNfsFhSize];
   std::memset(fh, 0xFD, sizeof(fh));
 
+  ReadStats stats;
   double client_seconds = 0;
   Status first_error = Status::Ok();
-  // Submit every chunk; the window admits the first `window` immediately
-  // and each completion decodes into its own disjoint buffer region, so
-  // out-of-order replies cannot interfere with each other.
+  auto fail = [&first_error](Status st) {
+    if (first_error.ok()) {
+      first_error = std::move(st);
+    }
+  };
+  // Submit every chunk; the transport admits what its window allows and
+  // each completion decodes into its own disjoint region of the user
+  // buffer, so replies that arrive out of order — or from another replica
+  // after a cutover — cannot interfere with each other.
   for (size_t offset = 0; offset < file_size; offset += chunk_bytes) {
-    uint32_t count = static_cast<uint32_t>(
+    const uint32_t count = static_cast<uint32_t>(
         file_size - offset < chunk_bytes ? file_size - offset
                                          : chunk_bytes);
-    ChunkArgs chunk{fh, static_cast<uint32_t>(offset), count,
-                    user_buffer + offset};
-    uint32_t xid = next_xid_++;
+    const ChunkArgs chunk{fh, static_cast<uint32_t>(offset), count,
+                          user_buffer + offset};
+    const uint32_t xid = next_xid_++;
 
     // --- client-side marshal (measured) ---
     XdrWriter request;
@@ -447,22 +434,23 @@ Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
     EncodeSunRpcCall(&request,
                      SunRpcCall{xid, kNfsProgram, kNfsVersion,
                                 kNfsProcRead});
+    Status encoded = Status::Ok();
     {
       // Attribute the encode to its xid (flight recorder).
       RecorderCallScope rec_scope(xid, rpc->clock());
-      FLEXRPC_ASSIGN_OR_RETURN(uint32_t unused,
-                               EncodeRequest(kind, chunk, &request));
-      (void)unused;
+      encoded = EncodeRequest(kind, chunk, &request).status();
     }
     client_seconds += encode_timer.ElapsedSeconds();
+    if (!encoded.ok()) {
+      fail(std::move(encoded));
+      break;  // Drive still runs, so no submitted call outlives the read
+    }
 
     rpc->Submit(xid, request.span(),
                 [this, kind, xid, chunk, rpc, &stats, &client_seconds,
-                 &first_error](Status st, std::vector<uint8_t> reply) {
+                 &fail](Status st, std::vector<uint8_t> reply) {
                   if (!st.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(st);
-                    }
+                    fail(std::move(st));
                     return;
                   }
                   // The decode runs at completion time, deep inside
@@ -473,25 +461,19 @@ Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
                   XdrReader reader(ByteSpan(reply.data(), reply.size()));
                   Status hdr = DecodeSunRpcReplySuccess(&reader, xid);
                   if (!hdr.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(hdr);
-                    }
+                    fail(std::move(hdr));
                     return;
                   }
                   auto delivered = DecodeReply(kind, chunk, &reader);
                   client_seconds += decode_timer.ElapsedSeconds();
                   if (!delivered.ok()) {
-                    if (first_error.ok()) {
-                      first_error = delivered.status();
-                    }
+                    fail(delivered.status());
                     return;
                   }
                   if (*delivered != chunk.count) {
-                    if (first_error.ok()) {
-                      first_error = DataLossError(
-                          StrFormat("short read: wanted %u, got %u",
-                                    chunk.count, *delivered));
-                    }
+                    fail(DataLossError(
+                        StrFormat("short read: wanted %u, got %u",
+                                  chunk.count, *delivered)));
                     return;
                   }
                   stats.bytes_read += *delivered;
@@ -499,151 +481,59 @@ Result<NfsClient::ReadStats> NfsClient::ReadFilePipelined(
                 });
   }
 
-  // --- the lossy wire, window-wide (modeled time) ---
+  // --- the wire and the server (modeled time) ---
   FLEXRPC_RETURN_IF_ERROR(rpc->Drive());
-  FLEXRPC_RETURN_IF_ERROR(first_error);
 
-  // Verification (not timed): out-of-order completion must still deliver
-  // exactly the file bytes the serial paths deliver.
-  if (std::memcmp(user_buffer, server_->content(), file_size) != 0) {
-    return DataLossError("file contents corrupted in transit");
+  // Verification (not timed): whatever the transport did on the way, the
+  // user buffer must hold exactly the file bytes.
+  if (first_error.ok() &&
+      std::memcmp(user_buffer, server_->content(), file_size) != 0) {
+    first_error = DataLossError("file contents corrupted in transit");
   }
   user_space_->Free(user_buffer);
+  FLEXRPC_RETURN_IF_ERROR(first_error);
   stats.client_seconds = client_seconds;
-  stats.network_server_seconds = static_cast<double>(
-      rpc->clock()->now_nanos() - clock_start) * 1e-9;
-  const PipelinedTransport::Stats& rpc_end = rpc->stats();
-  stats.retransmits = rpc_end.retransmits - rpc_start.retransmits;
-  stats.dup_cache_hits = rpc_end.dup_cache_hits - rpc_start.dup_cache_hits;
-  stats.server_executions =
-      rpc_end.dup_cache_misses - rpc_start.dup_cache_misses;
+  stats.network_server_seconds =
+      static_cast<double>(rpc->clock()->now_nanos() - clock_start) * 1e-9;
+  const TransportCounters end = Counters(rpc);
+  stats.retransmits = end.retransmits - start.retransmits;
+  stats.dup_cache_hits = end.dup_cache_hits - start.dup_cache_hits;
+  stats.server_executions = end.dup_cache_misses - start.dup_cache_misses;
   return stats;
 }
 
-namespace {
-
-// Transport-level activity summed across a replica group; the binder's
-// callers see one logical endpoint, so its read stats aggregate too.
-struct GroupStatsSum {
-  uint64_t retransmits = 0;
-  uint64_t dup_cache_hits = 0;
-  uint64_t dup_cache_misses = 0;
-};
-
-GroupStatsSum SumGroupStats(ReplicaGroup* group) {
-  GroupStatsSum sum;
-  for (size_t i = 0; i < group->size(); ++i) {
-    const PipelinedTransport::Stats& s = group->transport(i)->stats();
-    sum.retransmits += s.retransmits;
-    sum.dup_cache_hits += s.dup_cache_hits;
-    sum.dup_cache_misses += s.dup_cache_misses;
-  }
-  return sum;
+Result<NfsClient::ReadStats> NfsClient::ReadFile(StubKind kind,
+                                                 size_t chunk_bytes) {
+  chunk_bytes = ClampChunk(chunk_bytes);
+  VirtualClock clock;
+  DatagramChannel channel(link_, FaultPlan(), FaultPlan(), &clock);
+  EventQueue events(&clock);
+  // Nothing is lost, so nothing may be retransmitted: the RTO and the
+  // deadline are both the whole-read bound. The deadline must be that
+  // long because every chunk is submitted, and its deadline armed, before
+  // the first one is sent.
+  PipelinePolicy policy;
+  policy.window = 1;
+  const uint64_t bound = SerialReadBoundNanos(
+      link_, remote_, server_->file_size(), chunk_bytes);
+  policy.retry.initial_rto_nanos = bound;
+  policy.retry.max_rto_nanos = bound;
+  policy.retry.deadline_nanos = bound;
+  PipelinedTransport rpc(&channel, NfsFileServer::MakeHandler(server_),
+                         remote_, policy, &events);
+  return ReadChunks(kind, &rpc, chunk_bytes);
 }
 
-}  // namespace
+Result<NfsClient::ReadStats> NfsClient::ReadFile(StubKind kind,
+                                                 PipelinedTransport* rpc,
+                                                 size_t chunk_bytes) {
+  return ReadChunks(kind, rpc, chunk_bytes);
+}
 
-Result<NfsClient::ReadStats> NfsClient::ReadFileManaged(
-    StubKind kind, BinderTransport* rpc, size_t chunk_bytes) {
-  ReadStats stats;
-  if (chunk_bytes == 0 || chunk_bytes > kNfsMaxData) {
-    chunk_bytes = kNfsMaxData;
-  }
-  const uint64_t clock_start = rpc->clock()->now_nanos();
-  const GroupStatsSum rpc_start = SumGroupStats(rpc->group());
-  size_t file_size = server_->file_size();
-  auto* user_buffer =
-      static_cast<uint8_t*>(user_space_->Allocate(file_size));
-  uint8_t fh[kNfsFhSize];
-  std::memset(fh, 0xFD, sizeof(fh));
-
-  double client_seconds = 0;
-  Status first_error = Status::Ok();
-  for (size_t offset = 0; offset < file_size; offset += chunk_bytes) {
-    uint32_t count = static_cast<uint32_t>(
-        file_size - offset < chunk_bytes ? file_size - offset
-                                         : chunk_bytes);
-    ChunkArgs chunk{fh, static_cast<uint32_t>(offset), count,
-                    user_buffer + offset};
-    uint32_t xid = next_xid_++;
-
-    // --- client-side marshal (measured) ---
-    XdrWriter request;
-    Stopwatch encode_timer;
-    EncodeSunRpcCall(&request,
-                     SunRpcCall{xid, kNfsProgram, kNfsVersion,
-                                kNfsProcRead});
-    {
-      RecorderCallScope rec_scope(xid, rpc->clock());
-      FLEXRPC_ASSIGN_OR_RETURN(uint32_t unused,
-                               EncodeRequest(kind, chunk, &request));
-      (void)unused;
-    }
-    client_seconds += encode_timer.ElapsedSeconds();
-
-    rpc->Submit(xid, request.span(),
-                [this, kind, xid, chunk, rpc, &stats, &client_seconds,
-                 &first_error](Status st, std::vector<uint8_t> reply) {
-                  if (!st.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(st);
-                    }
-                    return;
-                  }
-                  // Decode at completion time — possibly after the call
-                  // migrated replicas; the reply bytes are the reply
-                  // bytes regardless of which replica produced them.
-                  RecorderCallScope rec_scope(xid, rpc->clock());
-                  // --- client-side unmarshal + delivery (measured) ---
-                  Stopwatch decode_timer;
-                  XdrReader reader(ByteSpan(reply.data(), reply.size()));
-                  Status hdr = DecodeSunRpcReplySuccess(&reader, xid);
-                  if (!hdr.ok()) {
-                    if (first_error.ok()) {
-                      first_error = std::move(hdr);
-                    }
-                    return;
-                  }
-                  auto delivered = DecodeReply(kind, chunk, &reader);
-                  client_seconds += decode_timer.ElapsedSeconds();
-                  if (!delivered.ok()) {
-                    if (first_error.ok()) {
-                      first_error = delivered.status();
-                    }
-                    return;
-                  }
-                  if (*delivered != chunk.count) {
-                    if (first_error.ok()) {
-                      first_error = DataLossError(
-                          StrFormat("short read: wanted %u, got %u",
-                                    chunk.count, *delivered));
-                    }
-                    return;
-                  }
-                  stats.bytes_read += *delivered;
-                  ++stats.rpc_calls;
-                });
-  }
-
-  // --- the managed wire, group-wide (modeled time) ---
-  FLEXRPC_RETURN_IF_ERROR(rpc->Drive());
-  FLEXRPC_RETURN_IF_ERROR(first_error);
-
-  // Verification (not timed): failover must deliver exactly the bytes a
-  // clean single-replica read delivers.
-  if (std::memcmp(user_buffer, server_->content(), file_size) != 0) {
-    return DataLossError("file contents corrupted in transit");
-  }
-  user_space_->Free(user_buffer);
-  stats.client_seconds = client_seconds;
-  stats.network_server_seconds = static_cast<double>(
-      rpc->clock()->now_nanos() - clock_start) * 1e-9;
-  const GroupStatsSum rpc_end = SumGroupStats(rpc->group());
-  stats.retransmits = rpc_end.retransmits - rpc_start.retransmits;
-  stats.dup_cache_hits = rpc_end.dup_cache_hits - rpc_start.dup_cache_hits;
-  stats.server_executions =
-      rpc_end.dup_cache_misses - rpc_start.dup_cache_misses;
-  return stats;
+Result<NfsClient::ReadStats> NfsClient::ReadFile(StubKind kind,
+                                                 BinderTransport* rpc,
+                                                 size_t chunk_bytes) {
+  return ReadChunks(kind, rpc, chunk_bytes);
 }
 
 }  // namespace flexrpc

@@ -81,44 +81,45 @@ class NfsClient {
     double client_seconds = 0;          // measured: marshaling + copies
     double network_server_seconds = 0;  // modeled: wire + remote server
     uint64_t rpc_calls = 0;
-    // Lossy-path accounting (zero over the perfect wire).
+    // Transport counter deltas (0, 0 and rpc_calls on a lossless wire).
     uint64_t retransmits = 0;
     uint64_t dup_cache_hits = 0;
     uint64_t server_executions = 0;
   };
 
-  // Reads the whole file in `chunk_bytes` chunks (clamped to kNfsMaxData)
-  // into a user-space buffer, then verifies the bytes against the server's
-  // content. Small chunks make the per-call marshal overhead dominate —
-  // the regime where specialized marshal code shows up most clearly.
-  Result<ReadStats> ReadFile(StubKind kind,
+  // The read driver. Every ReadFile reads the whole file in `chunk_bytes`
+  // chunks (0 or more than kNfsMaxData means kNfsMaxData) into a user-space
+  // buffer, and all of them run the same loop over a transport's
+  // Submit/Drive surface:
+  //   * every chunk is encoded by the selected stub (client time, measured)
+  //     and submitted at once, so its deadline is armed at submission and
+  //     time spent waiting for a window slot counts against it;
+  //   * Drive runs the transport's virtual clock; each completion decodes
+  //     its reply into the chunk's own region of the user buffer (client
+  //     time, measured), so replies may land in any order or from any
+  //     replica;
+  //   * the buffer is then checked byte for byte against the server's
+  //     file, and ReadStats report the clock's advance as
+  //     network_server_seconds plus the transport's counter deltas (for a
+  //     BinderTransport, summed over its replicas).
+  // The transport must be wired to this client's server (MakeHandler or
+  // a counting wrapper around it). A failure is the first error seen:
+  // kUnavailable / kDeadlineExceeded from the transport, kDataLoss for a
+  // short or corrupt read. Never a hang, never a double read.
+  Result<ReadStats> ReadFile(StubKind kind, PipelinedTransport* rpc,
+                             size_t chunk_bytes = kNfsMaxData);
+  Result<ReadStats> ReadFile(StubKind kind, BinderTransport* rpc,
                              size_t chunk_bytes = kNfsMaxData);
 
-  // The same read, but every RPC travels as a SunRPC datagram through
-  // `rpc`'s lossy DatagramChannel with at-most-once retry semantics. The
-  // transport must be wired to this client's server (MakeHandler or a
-  // counting wrapper around it); its virtual clock replaces the
-  // network+server model of the perfect-wire path. All chunks are
-  // submitted up front: up to `window` READs are in flight concurrently
-  // (a window of one is serial stop-and-wait), replies may land out of
-  // order, and each one is decoded into its own disjoint region of the
-  // user buffer as it arrives. Every deadline is armed at submission, so
-  // time a chunk waits for a window slot counts against it. `chunk_bytes`
-  // (clamped to kNfsMaxData) sets the per-call payload — small chunks
-  // make the workload latency-bound, where the window helps most. Degrades
-  // to kUnavailable / kDeadlineExceeded / kDataLoss — never a hang, never
-  // a double read.
-  Result<ReadStats> ReadFilePipelined(StubKind kind, PipelinedTransport* rpc,
-                                      size_t chunk_bytes = kNfsMaxData);
-
-  // The pipelined read over a *managed* binding: chunks are submitted to a
-  // BinderTransport fronting a replica group, so the read survives replica
-  // death mid-transfer — in-flight chunks migrate to a healthy replica and
-  // the delivered bytes still verify against the source file. Transport-
-  // level stats (retransmits, dup-cache activity) are summed across the
-  // group's replicas. Same degradation contract as ReadFilePipelined.
-  Result<ReadStats> ReadFileManaged(StubKind kind, BinderTransport* rpc,
-                                    size_t chunk_bytes = kNfsMaxData);
+  // Figure 2's read: the driver over a lossless rig built for this call —
+  // a window-1 PipelinedTransport over a fault-free DatagramChannel on
+  // the constructor's LinkModel, serving with its RemoteServerModel. Each
+  // READ therefore crosses framing, CRC32C, the call engine, at-most-once
+  // and dispatch, and nothing is retransmitted. Small chunks make the
+  // per-call marshal overhead dominate client time — the regime where
+  // specialized marshal code shows up most clearly.
+  Result<ReadStats> ReadFile(StubKind kind,
+                             size_t chunk_bytes = kNfsMaxData);
 
   AddressSpace* user_space() { return user_space_.get(); }
   AddressSpace* kernel_space() { return kernel_space_.get(); }
@@ -152,6 +153,11 @@ class NfsClient {
   std::unique_ptr<MarshalProgram> prog_special_;
   void* attr_storage_ = nullptr;  // kernel-resident fattr, reused per call
   uint32_t next_xid_ = 1;
+
+  // The one chunk loop behind every ReadFile (defined in nfs.cc).
+  template <typename Transport>
+  Result<ReadStats> ReadChunks(StubKind kind, Transport* rpc,
+                               size_t chunk_bytes);
 };
 
 }  // namespace flexrpc

@@ -331,21 +331,4 @@ Status BinderTransport::Drive() {
   return Status::Ok();
 }
 
-Status BinderTransport::Call(uint32_t xid, ByteSpan request,
-                             std::vector<uint8_t>* reply) {
-  Status result = Status::Ok();
-  Submit(xid, request,
-         [&result, reply](Status status, std::vector<uint8_t> r) {
-           result = std::move(status);
-           if (result.ok() && reply != nullptr) {
-             *reply = std::move(r);
-           }
-         });
-  Status driven = Drive();
-  if (!driven.ok()) {
-    return driven;
-  }
-  return result;
-}
-
 }  // namespace flexrpc

@@ -135,18 +135,13 @@ class BinderTransport {
   // (probes may remain outstanding). Non-OK only on a stalled machine.
   Status Drive();
 
-  // Convenience: Submit one call and Drive. Returns that call's status.
-  Status Call(uint32_t xid, ByteSpan request, std::vector<uint8_t>* reply);
-
   const Stats& stats() const { return stats_; }
-  const BinderPolicy& policy() const { return policy_; }
   ReplicaGroup* group() { return group_; }
   VirtualClock* clock() { return group_->events()->clock(); }
   size_t primary() const { return primary_; }
   ReplicaHealth health(size_t replica) const {
     return trackers_[replica].health();
   }
-  size_t calls_in_flight() const { return calls_.size(); }
 
  private:
   // Per-replica adapter: PipelineObserver callbacks carry no replica

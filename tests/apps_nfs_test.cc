@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/apps/nfs.h"
 #include "src/net/sunrpc.h"
+#include "src/support/trace.h"
 
 namespace flexrpc {
 namespace {
@@ -189,6 +192,50 @@ TEST_P(NfsClientTest, ReadsWholeFileCorrectly) {
   EXPECT_GT(stats->network_server_seconds, 0.0);
   // Network time dominates at 10 Mbit/s — as in the paper's Figure 2.
   EXPECT_GT(stats->network_server_seconds, stats->client_seconds);
+}
+
+TEST(NfsFig2StackTest, EveryStubReadsThroughTheRealStack) {
+  // Figure 2's read crosses framing, the call engine, at-most-once and
+  // dispatch: two datagrams and one server execution per READ, no
+  // retransmit on the lossless rig. The modeled network and server time
+  // is the same for every stub, as in the paper. The file ends in a short
+  // chunk.
+  NfsFileServer server(100 * 1024 + 100, /*seed=*/11);
+  NfsClient client(&server, LinkModel(), RemoteServerModel());
+  std::vector<double> net_server_seconds;
+  for (auto kind : {NfsClient::StubKind::kGeneratedConventional,
+                    NfsClient::StubKind::kGeneratedUserBuffer,
+                    NfsClient::StubKind::kHandConventional,
+                    NfsClient::StubKind::kHandUserBuffer}) {
+    TraceSession session;
+    auto stats = client.ReadFile(kind);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    const TraceSnapshot report = session.Report();
+    EXPECT_EQ(stats->rpc_calls, 13u);
+    EXPECT_EQ(report.counter(TraceCounter::kNetDatagramsSent),
+              2 * stats->rpc_calls);
+    EXPECT_EQ(report.counter(TraceCounter::kRpcMuxRetransmits), 0u);
+    EXPECT_EQ(report.counter(TraceCounter::kRpcDispatchExecutions),
+              stats->rpc_calls);
+    EXPECT_EQ(stats->server_executions, stats->rpc_calls);
+    net_server_seconds.push_back(stats->network_server_seconds);
+  }
+  for (double seconds : net_server_seconds) {
+    EXPECT_EQ(seconds, net_server_seconds[0]);  // bit-equal
+  }
+}
+
+TEST(NfsFig2StackTest, DeadlineCoversAWholeSmallChunkRead) {
+  // Every chunk is submitted, and its deadline armed, before the first
+  // one is sent: the rig's deadline must cover the last of 16384 serial
+  // 512 B READs (an 8 MB file), far past the default 4 s per call.
+  NfsFileServer server(8u << 20, /*seed=*/12);
+  NfsClient client(&server, LinkModel(), RemoteServerModel());
+  auto stats = client.ReadFile(NfsClient::StubKind::kHandUserBuffer, 512);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rpc_calls, 16384u);
+  EXPECT_EQ(stats->retransmits, 0u);
+  EXPECT_GT(stats->network_server_seconds, 4.0);
 }
 
 TEST(NfsClientWireTest, AllStubsProduceIdenticalRequests) {

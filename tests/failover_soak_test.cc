@@ -141,7 +141,7 @@ FailoverOutcome RunManagedRead(uint64_t seed,
   BinderTransport binder(&group, std::move(binder_policy));
 
   FailoverOutcome outcome;
-  auto read = client.ReadFileManaged(
+  auto read = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &binder, kChunkBytes);
   if (read.ok()) {
     outcome.read = *read;

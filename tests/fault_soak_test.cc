@@ -88,7 +88,7 @@ SoakOutcome RunSoak(uint64_t seed) {
                                policy, &events);
 
   SoakOutcome outcome;
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   if (stats.ok()) {
     outcome.stats = *stats;
@@ -166,7 +166,7 @@ TEST(FaultSoakTest, NfsDroppedReplyProvesAtMostOnce) {
                                PipelinePolicy{RetryPolicy{}, /*window=*/1},
                                &events);
 
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->bytes_read, kNfsMaxData);
@@ -194,7 +194,7 @@ TEST(FaultSoakTest, NfsBlackHoleDegradesWithinDeadline) {
                                RemoteServerModel(),
                                PipelinePolicy{policy, /*window=*/1}, &events);
 
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().code() == StatusCode::kUnavailable ||
@@ -255,7 +255,7 @@ PipelinedOutcome RunPipelinedSoak(uint64_t seed, const FaultConfig& to_server,
                                policy, &events);
 
   PipelinedOutcome outcome;
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport, chunk_bytes);
   if (stats.ok()) {
     outcome.stats = *stats;
@@ -482,7 +482,7 @@ TEST(PipelinedFaultMatrixTest, NfsDroppedReplyProvesAtMostOncePipelined) {
                                RemoteServerModel(), PipelinePolicy{},
                                &events);
 
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->bytes_read, kNfsMaxData);

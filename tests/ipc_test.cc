@@ -80,6 +80,25 @@ TEST(FastPathTest, HandlerErrorPropagates) {
             StatusCode::kInternal);
 }
 
+TEST(FastPathTest, EmptyRequestAndReplyRoundTrip) {
+  // Neither side copies from the null data() of an empty buffer (UBSan
+  // reports a memcpy from null even when the size is 0).
+  Kernel kernel;
+  FastPath fastpath(&kernel);
+  Task* client = kernel.CreateTask("client");
+  Task* server = kernel.CreateTask("server");
+  PortName pn = kernel.CreatePort(server);
+  Port* port = *kernel.ResolvePort(server, pn);
+  fastpath.Serve(port, server, [](ServerCall*) { return Status::Ok(); });
+  void* reply = nullptr;
+  size_t reply_size = 1;
+  ASSERT_TRUE(
+      fastpath.Call(client, port, ByteSpan(), &reply, &reply_size).ok());
+  EXPECT_EQ(reply_size, 0u);
+  EXPECT_TRUE(client->space().Owns(reply));
+  client->space().Free(reply);
+}
+
 TEST(OldPathTest, RoundTripWithTypedItems) {
   Kernel kernel;
   OldPath oldpath(&kernel);

@@ -240,7 +240,7 @@ Recording RecordLossyPipelinedRead(
   policy.retry.initial_rto_nanos = 20'000'000;
   PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
                                RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport, 2048);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   return recorder.Stop();

@@ -282,7 +282,7 @@ TEST(PipelineCorruptLossTest, CorruptRepliesFeedTheAimdLossSignal) {
   policy.retry.adaptive.enabled = true;
   PipelinedTransport transport(&channel, NfsFileServer::MakeHandler(&server),
                                RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &transport, 2048);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(transport.stats().retransmits, 0u);
@@ -385,7 +385,7 @@ TEST(BinderTest, ManagedNfsReadOverPerfectWiresMatchesPipelined) {
   pipeline.retry.jitter_seed = 11;
   ReplicaGroup group(std::move(specs), pipeline, &events);
   BinderTransport binder(&group, BinderPolicy{});
-  auto stats = client.ReadFileManaged(
+  auto stats = client.ReadFile(
       NfsClient::StubKind::kGeneratedUserBuffer, &binder, 2048);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->bytes_read, 64u * 1024u);

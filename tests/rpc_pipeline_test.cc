@@ -203,9 +203,9 @@ TEST(PipelinedTransportTest, CallConvenienceMatchesSubmitDrive) {
 // --- the speedup the window exists for ----------------------------------
 
 // Runs the pipelined NFS read at the given window and returns the virtual
-// nanoseconds the whole file took. Contents are verified inside
-// ReadFilePipelined against the server's bytes, which are identical to
-// what the serial paths deliver (same server, same seed).
+// nanoseconds the whole file took. Contents are verified inside ReadFile
+// against the server's bytes, which are identical to what the serial
+// paths deliver (same server, same seed).
 uint64_t PipelinedReadNanos(uint32_t window, size_t chunk_bytes,
                             uint64_t* bytes_read) {
   constexpr size_t kFileSize = 64 * 1024;
@@ -218,8 +218,8 @@ uint64_t PipelinedReadNanos(uint32_t window, size_t chunk_bytes,
   policy.window = window;
   PipelinedTransport rpc(&channel, NfsFileServer::MakeHandler(&server),
                          RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(NfsClient::StubKind::kHandUserBuffer,
-                                        &rpc, chunk_bytes);
+  auto stats = client.ReadFile(NfsClient::StubKind::kHandUserBuffer, &rpc,
+                               chunk_bytes);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   if (bytes_read != nullptr) {
     *bytes_read = stats.ok() ? stats->bytes_read : 0;
@@ -273,8 +273,8 @@ NfsRunOutcome CollapseRun(uint32_t window, bool adaptive) {
   policy.retry.adaptive.enabled = adaptive;
   PipelinedTransport rpc(&channel, NfsFileServer::MakeHandler(&server),
                          RemoteServerModel(), policy, &events);
-  auto stats = client.ReadFilePipelined(NfsClient::StubKind::kHandUserBuffer,
-                                        &rpc, kNfsMaxData);
+  auto stats = client.ReadFile(NfsClient::StubKind::kHandUserBuffer, &rpc,
+                               kNfsMaxData);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   NfsRunOutcome outcome;
   outcome.virtual_nanos = clock.now_nanos();

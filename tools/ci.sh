@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI entry point: style check, plain build + tests, then an ASan+UBSan
-# build + tests (UBSan including float-cast-overflow). Also lints the
-# example IDL/PDL with flexcheck.
+# build + tests (UBSan including float-cast-overflow, and built with
+# -fno-sanitize-recover=all, so any UBSan report fails the run). Also
+# lints the example IDL/PDL with flexcheck.
 #
 #   tools/ci.sh                          # everything
 #   SKIP_SAN=1 tools/ci.sh               # plain build only (fast local loop)
